@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn import get_default_dtype, set_default_dtype
+from repro.serve.pool import blas_threads, usable_cpus
 from repro.core.design_space import DesignConfig
 from repro.core.experiment import ExperimentContext
 from repro.core.pipeline import SynthesisRun
@@ -220,6 +221,8 @@ def _write_json(name: str, rows: Optional[list],
         "cpu_seconds": cpu_seconds,
         "peak_rss_kb": _peak_rss_kb(),
         "engine_dtype": np.dtype(get_default_dtype()).name,
+        "cpus": usable_cpus(),
+        "blas_threads": blas_threads(),
         "rows": rows,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }

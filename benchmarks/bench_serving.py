@@ -15,7 +15,9 @@ row):
 
 Worker scaling is hardware-bound: with fewer cores than workers the
 extra processes only add IPC overhead, so ``BENCH_serving.json``
-records ``cpus`` with every run — read the scaling numbers against it
+records the usable ``cpus`` and the parent's ``blas_threads`` in its
+``meta`` row (each worker caps its own BLAS threads at
+``max(1, cpus // workers)``) — read the scaling numbers against them
 (the committed baseline may come from a 1-core container; CI runners
 with 4 vCPUs show the real fan-out).
 
@@ -41,6 +43,7 @@ from repro.core.design_space import DesignConfig
 from repro.gan.synthesizer import GANSynthesizer
 from repro.report import format_table
 from repro.serve import MicroBatcher, WorkerPool
+from repro.serve.pool import blas_threads, usable_cpus
 
 N_ROWS = int(os.environ.get("REPRO_BENCH_SERVE_ROWS", "100000"))
 N_RECORDS = int(os.environ.get("REPRO_BENCH_RECORDS", "1200"))
@@ -169,7 +172,8 @@ def test_serving_throughput(benchmark):
                          "rows_per_sec": round(N_ROWS / ref_elapsed, 1)}]
                 rows.extend(_throughput_rows(model_dir, reference, batch))
                 rows.extend(_latency_rows(model_dir, batch))
-            rows.append({"mode": "meta", "cpus": os.cpu_count(),
+            rows.append({"mode": "meta", "cpus": usable_cpus(),
+                         "blas_threads": blas_threads(),
                          "batch": batch, "method": "gan-mlp"})
 
         headers = ["mode", "workers", "rows/sec", "scaling", "p50 ms",
@@ -185,7 +189,7 @@ def test_serving_throughput(benchmark):
             headers, table_rows,
             title=f"Serving benchmark — sample({N_ROWS}) via worker pool "
                   f"+ {CONCURRENCY}-client micro-batch load "
-                  f"({os.cpu_count()} cpus)")
+                  f"({usable_cpus()} cpus)")
         return emit("serving", text, rows=rows)
 
     run_once(benchmark, run)

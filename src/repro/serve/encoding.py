@@ -17,13 +17,15 @@ from ..datasets.schema import Attribute, Schema, Table
 
 
 def _decoded_column(table: Table, attribute: Attribute) -> List:
-    values = table.column(attribute.name)
+    # One tolist() yields Python ints (int64 codes) or floats (float64
+    # numericals), so no value goes through a numpy-scalar cast.
+    values = table.column(attribute.name).tolist()
     if attribute.is_categorical:
         categories = attribute.categories
-        return [categories[int(code)] for code in values]
+        return [categories[code] for code in values]
     if attribute.integral:
-        return [int(round(float(v))) for v in values]
-    return [float(v) for v in values]
+        return list(map(round, values))
+    return values
 
 
 def columns_payload(table: Table) -> Dict[str, List]:
@@ -56,9 +58,7 @@ def csv_rows(table: Table) -> str:
     columns = [_decoded_column(table, attribute)
                for attribute in table.schema]
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    for row in zip(*columns):
-        writer.writerow(row)
+    csv.writer(buffer).writerows(zip(*columns))
     return buffer.getvalue()
 
 

@@ -37,8 +37,8 @@ connection, no third-party web stack.  Endpoints:
     spans) back in the response under ``"trace"``.
 
 Errors map 1:1 from the serving exception hierarchy: 404 unknown model,
-400 invalid request, 503 backpressure (with ``Retry-After``), 504
-deadline, 500 worker failure.
+400 invalid request, 413 body over :data:`MAX_BODY_BYTES`, 503
+backpressure (with ``Retry-After``), 504 deadline, 500 worker failure.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ _MODEL_ROUTE = re.compile(r"^/models/([A-Za-z0-9][A-Za-z0-9._-]*)$")
 
 #: CSV responses for at least this many rows stream chunked by default.
 DEFAULT_STREAM_THRESHOLD = 50_000
+#: Largest request body read (sample requests are a few hundred bytes).
+MAX_BODY_BYTES = 1 << 20
+
+
+class BodyTooLarge(ValueError):
+    """The declared request body exceeds :data:`MAX_BODY_BYTES` (413)."""
 
 
 class _StreamAborted(Exception):
@@ -81,6 +87,8 @@ class _StreamAborted(Exception):
 
 
 def _status_for(exc: Exception) -> int:
+    if isinstance(exc, BodyTooLarge):
+        return 413
     if isinstance(exc, ModelNotFound):
         return 404
     if isinstance(exc, (BackpressureError, CircuitOpen)):
@@ -169,6 +177,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Refused before reading anything (rfile.read(-1) would block
+            # until the client hangs up); the connection then closes, so
+            # the unread body is never parsed as a next request.
+            self.close_connection = True
+            if length < 0:
+                raise ValueError(
+                    f"Content-Length must be >= 0, got {length}")
+            raise BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit")
         if length == 0:
             return {}
         raw = self.rfile.read(length)

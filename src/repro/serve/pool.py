@@ -50,14 +50,25 @@ Fault tolerance (the self-healing layer):
 Deterministic fault injection (:mod:`repro.serve.faults`, env-gated via
 ``REPRO_FAULTS``) hooks the worker body at boot/task/chunk events so
 chaos tests can script exactly these failures and assert bit-identity.
+
+CPU budget: workers are forked after numpy's OpenBLAS has sized its
+thread pool for the whole machine, so N uncapped workers would run N
+times that many BLAS threads.  Each worker therefore lowers its own
+OpenBLAS thread count to ``max(1, usable_cpus // workers)`` at boot
+(never raising it, so ``OPENBLAS_NUM_THREADS`` still caps lower) and
+reports the count in effect; :meth:`WorkerPool.status` shows it per
+slot.  The parent process keeps the library default.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import ctypes
+import glob
 import itertools
 import multiprocessing as mp
+import os
 import pathlib
 import threading
 import traceback
@@ -102,6 +113,60 @@ def _mp_context():
     return mp.get_context("fork" if "fork" in methods else methods[0])
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS via ``ctypes`` as ``(get_num_threads,
+    set_num_threads, thread_shutdown)``, or ``None`` when numpy ships
+    none (``thread_shutdown`` is ``None`` where the build hides it)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"),
+                               ("openblas", "64_"), ("openblas", "")):
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+                return getter, setter, shutdown
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """OpenBLAS threads in effect in this process (``None``: no OpenBLAS)."""
+    api = _openblas()
+    return None if api is None else api[0]()
+
+
+def _cap_blas_threads(budget: int) -> Optional[int]:
+    """Lower this process's OpenBLAS threads to ``budget`` (never raise
+    them); returns the count read back, ``None`` without OpenBLAS."""
+    api = _openblas()
+    if api is None:
+        return None
+    getter, setter, shutdown = api
+    if budget < getter():
+        setter(budget)
+        # In a forked child the setter restarts the thread pool that
+        # fork stopped, and its idle threads spin for about 0.1 s of CPU
+        # each, slowing every worker boot.  Stop them again: OpenBLAS
+        # restarts them on the first call that can use more than one.
+        if shutdown is not None:
+            shutdown()
+    return getter()
+
+
 def _is_cancelled(cancel_ring, req_id: int) -> bool:
     """Worker-side check of the shared cancellation ring.
 
@@ -115,7 +180,8 @@ def _is_cancelled(cancel_ring, req_id: int) -> bool:
 
 
 def _worker_main(path: str, worker_id: int, incarnation: int,
-                 dtype_name: str, task_r, result_w, cancel_ring) -> None:
+                 dtype_name: str, blas_budget: int, task_r, result_w,
+                 cancel_ring) -> None:
     """Worker process body: load once, then serve tasks until sentinel.
 
     Runs in the child.  The engine dtype is pinned to the parent's
@@ -124,6 +190,8 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
     process-global tape pool inherited over ``fork`` is dropped
     (:func:`repro.nn.reset_worker_state`) so copy-on-write pages sized
     for the parent's training workload are not dirtied per worker.
+    OpenBLAS is then capped at ``blas_budget`` threads, and the ready
+    message reports the count in effect.
 
     Every message leads with this worker's slot id.  A claim ack is
     sent *before* generation starts, so the parent's ledger of what
@@ -135,13 +203,15 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
 
         set_default_dtype(dtype_name)
         reset_worker_state()
+        threads = _cap_blas_threads(blas_budget)
         plan = plan_from_env()
         model = load_model(path).spawn_sampler(worker_id)
         if plan is not None:
             plan.fire("boot", worker=worker_id, incarnation=incarnation)
         meta = {"method": getattr(model, "method", None),
                 "default_batch": getattr(model, "default_sample_batch",
-                                         None)}
+                                         None),
+                "blas_threads": threads}
     except BaseException:
         result_w.send(("boot_error", worker_id,
                        traceback.format_exc(limit=16)))
@@ -228,7 +298,7 @@ class _WorkerSlot:
     __slots__ = ("slot", "process", "task_w", "result_r", "incarnation",
                  "restarts", "boot_failures", "deaths", "ready", "dead",
                  "drained", "retired", "respawn_at", "reclaim_at",
-                 "claims", "last_exit")
+                 "claims", "last_exit", "blas_threads")
 
     def __init__(self, slot: int):
         self.slot = slot
@@ -247,6 +317,7 @@ class _WorkerSlot:
         self.reclaim_at: Optional[float] = None
         self.claims: Dict[int, Set[int]] = {}
         self.last_exit: Optional[int] = None
+        self.blas_threads: Optional[int] = None
 
     def outstanding(self) -> int:
         return sum(len(indices) for indices in self.claims.values())
@@ -492,6 +563,7 @@ class WorkerPool:
         ctx = _mp_context()
         self._ctx = ctx
         self._dtype_name = np.dtype(get_default_dtype()).name
+        self._blas_budget = max(1, usable_cpus() // workers)
         # Slot 0 is the write cursor; entries hold recently cancelled
         # request ids (-1 = empty).  Shared with every worker.
         self._cancel_ring = ctx.Array("q", [0] + [-1] * _CANCEL_SLOTS)
@@ -526,7 +598,8 @@ class WorkerPool:
         process = self._ctx.Process(
             target=_worker_main,
             args=(str(self.path), slot.slot, slot.incarnation,
-                  self._dtype_name, task_r, result_w, self._cancel_ring),
+                  self._dtype_name, self._blas_budget, task_r, result_w,
+                  self._cancel_ring),
             daemon=True,
             name=(f"repro-serve-{self.path.name}-{slot.slot}"
                   f".{slot.incarnation}"))
@@ -961,6 +1034,7 @@ class WorkerPool:
             with self._lock:
                 slot.ready = True
                 slot.boot_failures = 0
+                slot.blas_threads = meta["blas_threads"]
             with self._boot_cond:
                 self._boot_ready[slot_id] = meta
                 self._boot_cond.notify_all()
@@ -1127,6 +1201,7 @@ class WorkerPool:
                 "restarts": slot.restarts,
                 "retired": slot.retired,
                 "last_exit": slot.last_exit,
+                "blas_threads": slot.blas_threads,
             } for slot in self._slots]
             return {
                 "mode": "inline" if self.workers == 0 else "processes",

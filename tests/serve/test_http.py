@@ -196,3 +196,47 @@ class TestErrorMapping:
             assert exc.code == 400
         else:
             raise AssertionError("expected 400")
+
+
+class TestBodyLimits:
+    """Content-Length is checked before any body byte is read, so a
+    hostile length is refused at once instead of pinning a handler
+    thread in a read that waits for the client to hang up."""
+
+    @staticmethod
+    def raw_post(server, length):
+        """Send only the request head; the response must arrive and the
+        server must close the connection without reading a body."""
+        import socket
+
+        host, port = server.address
+        head = (f"POST /models/adult-pb/sample HTTP/1.1\r\n"
+                f"Host: {host}\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {length}\r\n\r\n")
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(head.encode("ascii"))
+            response = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                response += data
+        status_line, _, rest = response.partition(b"\r\n")
+        body = rest.partition(b"\r\n\r\n")[2]
+        return int(status_line.split()[1]), json.loads(body)
+
+    def test_negative_length_400(self, server):
+        code, payload = self.raw_post(server, -1)
+        assert code == 400
+        assert "Content-Length" in payload["detail"]
+
+    def test_oversized_length_413(self, server):
+        from repro.serve.http import MAX_BODY_BYTES
+
+        code, payload = self.raw_post(server, MAX_BODY_BYTES + 1)
+        assert code == 413
+        assert payload["error"] == "BodyTooLarge"
+        # The server keeps serving normal requests.
+        status, _, _ = post(server, "/models/adult-pb/sample",
+                            {"n": 5, "seed": 1})
+        assert status == 200

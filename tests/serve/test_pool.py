@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.serve import ServingError, WorkerError, WorkerPool, load_model
+from repro.serve.pool import blas_threads, usable_cpus
 
 TABLE_MODELS = ("adult-gan", "adult-vae", "adult-pb")
 
@@ -250,3 +251,62 @@ class TestEventRing:
             assert event["wall"] == 2_000.0
         finally:
             pool.close()
+
+
+class TestBlasBudget:
+    """Each worker caps numpy's OpenBLAS at its share of the CPUs; the
+    parent keeps the library default."""
+
+    @staticmethod
+    def expected_cap(workers):
+        default = blas_threads()
+        if default is None:  # numpy without a bundled OpenBLAS
+            return None
+        return min(default, max(1, usable_cpus() // workers))
+
+    def test_every_slot_reports_the_cap(self, model_root):
+        before = blas_threads()
+        with WorkerPool(model_root / "adult-pb", workers=2) as pool:
+            slots = pool.status()["slots"]
+            booted = blas_threads()
+        assert [slot["blas_threads"] for slot in slots] == \
+            [self.expected_cap(2)] * 2
+        # The parent keeps its own count before, during and after.
+        assert before == booted == blas_threads()
+
+    def test_respawned_worker_keeps_the_cap(self, model_root, monkeypatch):
+        import json
+        import time
+
+        monkeypatch.setenv("REPRO_FAULTS", json.dumps({"rules": [
+            {"on": "chunk", "worker": 0, "after": 2, "action": "kill",
+             "incarnations": [0], "times": 1}]}))
+        with WorkerPool(model_root / "adult-pb", workers=2,
+                        request_timeout=60.0) as pool:
+            pool.sample(96, batch=8, seed=5)  # worker 0 dies mid-request
+            deadline = time.monotonic() + 30.0
+            while True:
+                slot = pool.status()["slots"][0]
+                if slot["incarnation"] >= 1 and slot["ready"]:
+                    break
+                assert time.monotonic() < deadline, slot
+                time.sleep(0.05)
+        assert slot["blas_threads"] == self.expected_cap(2)
+
+    def test_cap_never_raises_a_lower_setting(self, model_root):
+        """A parent already capped below the budget (as by
+        ``OPENBLAS_NUM_THREADS=1``) passes the lower count on."""
+        from repro.serve.pool import _openblas
+
+        api = _openblas()
+        if api is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        getter, setter, _ = api
+        default = getter()
+        setter(1)
+        try:
+            with WorkerPool(model_root / "adult-pb", workers=1) as pool:
+                slots = pool.status()["slots"]
+        finally:
+            setter(default)
+        assert [slot["blas_threads"] for slot in slots] == [1]
