@@ -12,7 +12,10 @@ what ``sample(n)`` executed before the CNN-fast-path/streaming PR.
 * ``current`` rows/sec for ``sample(N)`` and for driving ``sample_iter``
   (engine dtype = the harness default, float32 fast-math unless
   ``REPRO_BENCH_DTYPE``/``--parity`` overrides);
-* ``prepr_float64`` rows/sec for the legacy-equivalent loop;
+* ``prepr_float64`` rows/sec for the legacy-equivalent loop (since
+  float64 sampling took the fused eval kernels, its gan-mlp forward is
+  the folded-BN, joint-head one, so that row no longer reproduces the
+  legacy graph op for op; committed rows predate the change);
 * ``speedup_vs_prepr`` — the end-to-end acceptance number.
 
 Scale knobs: ``REPRO_BENCH_SAMPLE_ROWS`` (default 100000) and
@@ -59,13 +62,15 @@ def _make_synthesizer(method: str, seed: int = 11):
 
 
 def _legacy_sample(synth, n: int, seed: int = 3):
-    """The pre-PR generation loop, reproduced op for op.
+    """The legacy generation loop.
 
     The family's pre-PR default chunk size (GAN 256, VAE 512), an
     eval/train module-tree walk per chunk, and the per-attribute
     reference inverse — the path ``sample(n)`` took before the
-    streaming/vectorized-inverse overhaul.  Only meaningful for the
-    transformer-based families (GAN, VAE).
+    streaming/vectorized-inverse overhaul.  The model forward is the
+    current float64 eval forward, which for the MLP generator is the
+    fused one (folded BN, one joint head GEMM), not the legacy graph.
+    Only meaningful for the transformer-based families (GAN, VAE).
     """
     rng = np.random.default_rng(seed)
     chunks = []

@@ -4,8 +4,10 @@ An AST-based analyzer with project-specific rules for the contracts
 that generic linters cannot see:
 
 * **RC001 determinism** — library code must not consume global-state
-  RNG (``np.random.rand`` and friends, ``random.*``) or wall-clock time
-  (``time.time``, ``datetime.now``).  Seeded generators
+  RNG (``np.random.rand`` and friends, ``random.*``), wall-clock time
+  (``time.time``, ``datetime.now``) or the builtin ``hash()``, whose
+  value for ``str``/``bytes`` is salted per process (derive keys with
+  ``hashlib``).  Seeded generators
   (``np.random.default_rng(seed)``, ``SeedSequence``) and monotonic
   clocks (``time.monotonic``, ``time.perf_counter``) are the sanctioned
   APIs.  Under ``--profile scripts`` (for ``examples/`` and
@@ -155,7 +157,8 @@ _RC007_EXEMPT_FRAGMENT = "/obs/"
 
 _HINTS = {
     "RC001": "draw from a keyed substream (repro.api.seeding.substream / "
-             "np.random.default_rng(seed)) or a monotonic clock instead",
+             "np.random.default_rng(seed)), key on a hashlib digest, or "
+             "use a monotonic clock instead",
     "RC002": "define __getstate__/__reduce__ to refuse pickling, or the "
              "spawn_sampler/reset_worker_state worker hook",
     "RC003": "donate with pool.put()/_donate_* on every path, including "
@@ -465,6 +468,11 @@ class _ModuleLinter(ast.NodeVisitor):
             self._report("RC001", node,
                          f"wall-clock read {resolved}() in library code; "
                          f"results must not depend on when they run")
+        elif resolved == "hash" and self.profile == "library":
+            self._report("RC001", node,
+                         "builtin hash() in library code is salted per "
+                         "process for str/bytes; results must not depend "
+                         "on which process computes them")
 
     # -- RC002 ---------------------------------------------------------
     def _check_rc002(self, node: ast.ClassDef) -> None:

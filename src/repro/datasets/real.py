@@ -98,9 +98,16 @@ HIGH_DIMENSIONAL = ("sat", "anuran", "census", "bing")
 
 def generate(spec: DatasetSpec, n_records: Optional[int] = None,
              seed: int = 0) -> Table:
-    """Draw ``n_records`` rows from the spec's class-conditional model."""
+    """Draw ``n_records`` rows from the spec's class-conditional model.
+
+    The generator is keyed on ``seed`` and a SHA-256 digest of the
+    dataset name, so a seed yields the same table in every process.
+    """
+    # Imported here: repro.api imports this package.
+    from ..api.seeding import substream
+
     n = n_records if n_records is not None else spec.default_records
-    rng = np.random.default_rng(hash((spec.name, seed)) % (2 ** 32))
+    rng = substream(seed, "dataset", spec.name)
 
     n_classes = max(spec.n_labels, 1)
     # Class priors.

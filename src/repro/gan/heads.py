@@ -58,11 +58,13 @@ class BlockHead(Module):
 class MultiHead(Module):
     """All attribute heads applied to one shared hidden vector (MLP G).
 
-    Under fast-math all head projections run as one wide matmul —
-    weights are concatenated per forward and the activations applied to
-    slices of the joint pre-activation.  Flop-equivalent but with one
-    input-gradient GEMM instead of one per head; parity mode keeps the
-    per-head kernels (bit-identical to the historical graph).
+    Under fast-math, and for eval-mode no-grad forwards (sampling) in
+    either dtype, all head projections run as one wide matmul — weights
+    are concatenated per forward and the activations applied to slices
+    of the joint pre-activation.  Flop-equivalent but with one
+    input-gradient GEMM instead of one per head.  Taped and
+    training-mode float64 forwards keep the per-head kernels
+    (bit-identical to the historical graph).
     """
 
     def __init__(self, in_features: int, blocks: List[BlockSpec],
@@ -87,7 +89,7 @@ class MultiHead(Module):
         self._seg_info = self._build_seg_info()
 
     def forward(self, h: Tensor) -> Tensor:
-        if not fast_math():
+        if not fast_math() and (self.training or is_grad_enabled()):
             return concat([head(h) for head in self.heads], axis=1)
         weight = concat([fc.weight for _, _, fc in self._plan], axis=1)
         bias = concat([fc.bias for _, _, fc in self._plan], axis=0)

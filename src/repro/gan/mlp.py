@@ -15,7 +15,7 @@ import numpy as np
 from ..nn import (
     BatchNorm1d, Linear, Module, Tensor, concat, fused_linear,
 )
-from ..nn.tensor import fast_math, is_grad_enabled
+from ..nn.tensor import get_default_dtype, is_grad_enabled
 from ..transform.base import BlockSpec
 from .heads import MultiHead
 
@@ -28,9 +28,12 @@ def _fold_eval_bn(fc: Linear, bn: BatchNorm1d) -> tuple:
     per-feature scale ``s = gamma / sqrt(running_var + eps)``.  The fold
     costs two elementwise passes over the (small) weight matrix and
     removes every full-batch BN temporary from the sampling hot loop.
-    Fast-math only (the re-associated affine is not bit-identical).
+    The re-associated affine differs from the composed BN chain by
+    rounding only.  It is computed in the wider of the weight dtype and
+    the engine dtype, so a float32-saved model sampled by the float64
+    engine folds in float64 like its composed graph does.
     """
-    dtype = fc.weight.data.dtype
+    dtype = np.result_type(fc.weight.data.dtype, get_default_dtype())
     inv = np.asarray(1.0 / np.sqrt(bn.running_var + bn.eps), dtype=dtype)
     mean = np.asarray(bn.running_mean, dtype=dtype)
     scale = bn.gamma.data * inv
@@ -83,10 +86,10 @@ class MLPGenerator(Module):
 
     def forward(self, z: Tensor, cond: Optional[Tensor] = None) -> Tensor:
         h = z if cond is None else concat([z, cond], axis=1)
-        if fast_math() and not self.training and not is_grad_enabled():
-            # Sampling fast path: eval-mode BN is a constant affine, so
-            # each hidden layer collapses to one fused GEMM (the fold is
-            # computed once per stream, not per chunk).
+        if not self.training and not is_grad_enabled():
+            # Sampling path (both dtypes): eval-mode BN is a constant
+            # affine, so each hidden layer collapses to one fused GEMM
+            # (the fold is computed once per stream, not per chunk).
             if self._folded_cache is None:
                 self._folded_cache = [_fold_eval_bn(fc, bn)
                                       for fc, bn in self.hidden_layers]

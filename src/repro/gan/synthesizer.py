@@ -348,11 +348,7 @@ class GANSynthesizer(Synthesizer):
         context matrix for a context-conditioned fit (required).
         """
         dtype = get_default_dtype()
-        if dtype is np.float64:
-            z = Tensor(rng.standard_normal((m, self.config.z_dim)))
-        else:
-            z = Tensor(rng.standard_normal((m, self.config.z_dim),
-                                           dtype=dtype))
+        z = Tensor(rng.standard_normal((m, self.config.z_dim), dtype=dtype))
         cond = None
         labels = None
         if self._cond_kind == "label":

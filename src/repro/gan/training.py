@@ -106,14 +106,10 @@ class BaseTrainer:
 
     # -- noise ----------------------------------------------------------
     def sample_noise(self, m: int) -> Tensor:
-        shape = (m, self.config.z_dim)
-        dtype = get_default_dtype()
-        if dtype is np.float64:
-            return Tensor(self.rng.standard_normal(shape))
-        # float32 mode: draw directly in the engine dtype (skips a cast;
-        # consumes the RNG stream differently, which is fine outside the
-        # float64 parity mode).
-        return Tensor(self.rng.standard_normal(shape, dtype=dtype))
+        # Drawn in the engine dtype: float32 skips a cast, and float64
+        # yields the same bytes as a draw without ``dtype=``.
+        return Tensor(self.rng.standard_normal((m, self.config.z_dim),
+                                               dtype=get_default_dtype()))
 
     # -- main loop ------------------------------------------------------
     def train(self, data: np.ndarray, labels: Optional[np.ndarray],

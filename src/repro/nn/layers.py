@@ -122,12 +122,12 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if bias is not None:
         pre += bias.data
 
-    if (activation in ("relu", "tanh") and fast_math()
-            and not is_grad_enabled()):
-        # Sampling fast path: no backward will run, so the activation
-        # can overwrite the pre-activation in place (no sign mask, no
-        # second full-width temporary).  Fast-math only: ``maximum``
-        # returns +0.0 where the composed ``pre * mask`` yields -0.0.
+    if activation in ("relu", "tanh") and not is_grad_enabled():
+        # No-grad fast path (both dtypes): no backward will run, so the
+        # activation can overwrite the pre-activation in place (no sign
+        # mask, no second full-width temporary).  ``maximum`` returns
+        # +0.0 where the composed ``pre * mask`` yields -0.0; the values
+        # are otherwise identical.
         mask = None
         out = (np.maximum(pre, 0.0, out=pre) if activation == "relu"
                else np.tanh(pre, out=pre))

@@ -13,9 +13,13 @@ Engine dtype
 ------------
 The engine computes in a configurable default dtype:
 
-* ``float64`` (the default) — exact-parity mode.  Training trajectories
-  are bit-for-bit reproducible and match the reference implementation;
-  the test suite's tight tolerances assume it.
+* ``float64`` (the default) — exact-parity mode for training and taped
+  forwards.  Training trajectories are bit-for-bit reproducible and
+  match the reference implementation; the test suite's tight tolerances
+  assume it.  Eval-mode no-grad forwards (sampling) take the fused
+  kernels in both dtypes — folded batch norm, one joint head GEMM,
+  in-place activations — and differ from the op-by-op graph by float64
+  rounding only.
 * ``float32`` — training mode.  Halves memory traffic and roughly
   doubles BLAS throughput; additionally enables *fast-math* rewrites
   (e.g. batched LSTM input projections) that re-associate floating point
@@ -75,7 +79,9 @@ def fast_math() -> bool:
 
     Tied to the engine dtype: float32 already trades exactness for
     speed, so sum re-associations (batched projections, split matmuls)
-    are only taken there; float64 keeps the bit-exact op-by-op path.
+    are only taken there; float64 keeps the bit-exact op-by-op path for
+    training and taped forwards.  Eval-mode no-grad sampling does not
+    consult this flag: it takes the fused kernels in both dtypes.
     """
     return _default_dtype is np.float32
 

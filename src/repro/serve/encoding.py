@@ -53,13 +53,48 @@ def csv_header(schema: Schema) -> str:
     return buffer.getvalue()
 
 
+class _Lines(list):
+    """A ``csv.writer`` sink that keeps each written row as one string."""
+
+    write = list.append
+
+
+def _csv_labels(categories, lone: bool) -> List[str]:
+    """Each category label as ``csv.writer`` writes it in a field.
+
+    Each label is written as a one-field row.  ``csv.writer`` writes an
+    empty field that is alone in its row as ``""``, so that form stands
+    for an empty field only when the schema has one column (``lone``).
+    """
+    lines = _Lines()
+    csv.writer(lines).writerows((label,) for label in categories)
+    return [line[:-2] if lone or line != '""\r\n' else ""
+            for line in lines]
+
+
+def _csv_column(table: Table, attribute: Attribute, lone: bool) -> List[str]:
+    """One column's CSV fields, as ``csv.writer`` writes them (a float
+    as its ``repr``, an int as its ``str``, which equals its ``repr``)."""
+    if attribute.is_categorical:
+        fields = _csv_labels(attribute.categories, lone)
+        return [fields[code]
+                for code in table.column(attribute.name).tolist()]
+    return list(map(repr, _decoded_column(table, attribute)))
+
+
 def csv_rows(table: Table) -> str:
-    """One CSV fragment (no header) for a table chunk."""
-    columns = [_decoded_column(table, attribute)
+    """One CSV fragment (no header) for a table chunk.
+
+    The same text as ``csv.writer(...).writerows`` over the decoded
+    rows, built a column at a time: each column becomes one list of
+    fields, and each row is the ``,``-join of its fields.
+    """
+    if not len(table):
+        return ""
+    lone = len(table.schema) == 1
+    columns = [_csv_column(table, attribute, lone)
                for attribute in table.schema]
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(zip(*columns))
-    return buffer.getvalue()
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
 def csv_stream(chunks: Iterable[Table], schema: Schema) -> Iterator[str]:

@@ -105,6 +105,10 @@ def _status_for(exc: Exception) -> int:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # Headers and body go out in separate sends; with Nagle on, a
+    # response smaller than one segment waits for the client's delayed
+    # ACK (~40 ms) before its body leaves.
+    disable_nagle_algorithm = True
 
     # The ThreadingHTTPServer subclass carries the service + knobs.
     @property

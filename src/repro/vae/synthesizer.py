@@ -182,12 +182,8 @@ class VAESynthesizer(Synthesizer):
 
     def _sample_chunk(self, m: int, rng: np.random.Generator,
                       conditions=None) -> Table:
-        dtype = get_default_dtype()
-        if dtype is np.float64:
-            z = Tensor(rng.standard_normal((m, self.latent_dim)))
-        else:
-            z = Tensor(rng.standard_normal((m, self.latent_dim),
-                                           dtype=dtype))
+        z = Tensor(rng.standard_normal((m, self.latent_dim),
+                                       dtype=get_default_dtype()))
         with no_grad():
             decoded = self.model.decode(z).data
         return self.transformer.inverse(decoded)

@@ -141,28 +141,71 @@ class TestFastMathStreaming:
         """The fast-math BN-folded generator stays numerically faithful
         to the float64 composed eval path given identical weights and
         noise."""
-        from repro.nn import Tensor, no_grad
-
         synth = make_synthesizer("gan", seed=0, epochs=1,
                                  iterations_per_epoch=3).fit(table)
         z = np.random.default_rng(3).standard_normal(
             (64, synth.config.z_dim))
-        generator = synth.generator
-        generator.eval()
-        with no_grad():
-            ref = generator(Tensor(z)).data
-        generator.train()
-        state = generator.state_dict()
+        ref = composed_forward(synth.generator, z)
+        state = synth.generator.state_dict()
         with nn.default_dtype("float32"):
             synth32 = make_synthesizer("gan", seed=0, epochs=1,
                                        iterations_per_epoch=3).fit(table)
             synth32.generator.load_state_dict(
                 {k: v.astype(np.float32) for k, v in state.items()})
-            synth32.generator.eval()
-            with no_grad():
-                out = synth32.generator(Tensor(z)).data  # folded-BN path
-            synth32.generator.train()
+            out = sampling_forward(synth32.generator, z)  # folded-BN path
         np.testing.assert_allclose(out, ref, atol=5e-3, rtol=5e-2)
+
+    @pytest.mark.parametrize("saved_dtype", ["float64", "float32"])
+    def test_float64_sampling_matches_composed_to_rounding(
+            self, table, tmp_path, saved_dtype):
+        """The float64 engine samples through the folded BN and the
+        joint head GEMM too, and differs from the composed graph by
+        float64 rounding only.  A model saved by the float32 engine
+        keeps float32 parameters when the float64 engine loads it; its
+        fold must still be computed in float64."""
+        from repro.api import load_synthesizer
+
+        with nn.default_dtype(saved_dtype):
+            make_synthesizer("gan", seed=0, epochs=1,
+                             iterations_per_epoch=3).fit(table).save(
+                                 tmp_path / "gan")
+        synth = load_synthesizer(tmp_path / "gan")
+        fc, _ = synth.generator.hidden_layers[0]
+        assert fc.weight.data.dtype == np.dtype(saved_dtype)
+        z = np.random.default_rng(3).standard_normal(
+            (64, synth.config.z_dim))
+        np.testing.assert_allclose(sampling_forward(synth.generator, z),
+                                   composed_forward(synth.generator, z),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def sampling_forward(generator, z):
+    """The generator's eval-mode no-grad forward (the sampling path)."""
+    from repro.nn import Tensor, no_grad
+
+    generator.eval()
+    try:
+        with no_grad():
+            return generator(Tensor(z)).data
+    finally:
+        generator.train()
+
+
+def composed_forward(generator, z):
+    """The MLP generator's composed eval graph: each hidden layer's
+    batch norm on its own, and one GEMM per attribute head."""
+    from repro.nn import Tensor, concat, no_grad
+
+    generator.eval()
+    try:
+        with no_grad():
+            h = Tensor(z)
+            for fc, bn in generator.hidden_layers:
+                h = bn(fc(h), activation="relu")
+            return concat([head(h) for head in generator.heads.heads],
+                          axis=1).data
+    finally:
+        generator.train()
 
 
 class TestFacadeSampleBatch:

@@ -53,6 +53,19 @@ class TestRC001Determinism:
         assert rules(found) == ["RC001"]
         assert "wall-clock" in found[0].message
 
+    def test_builtin_hash_fires_in_library(self):
+        source = """
+            import numpy as np
+
+            def table_rng(name, seed):
+                return np.random.default_rng(hash((name, seed)) % 2 ** 32)
+            """
+        found = run(source)
+        assert rules(found) == ["RC001"]
+        assert "hash()" in found[0].message
+        assert found[0].scope == "table_rng"
+        assert run(source, profile="scripts") == []
+
     def test_seeded_generator_is_sanctioned(self):
         found = run("""
             import numpy as np

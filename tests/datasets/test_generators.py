@@ -121,6 +121,29 @@ class TestRealStandIns:
         c = datasets.load("adult", n_records=200, seed=6)
         assert not np.array_equal(a.column("num0"), c.column("num0"))
 
+    def test_same_table_in_every_process(self):
+        """``hash()`` of a str is salted per process (PYTHONHASHSEED);
+        the table a seed yields must not be."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = ("import sys; from repro import datasets; "
+                  "t = datasets.load('adult', n_records=600, seed=3); "
+                  "sys.stdout.buffer.write(b''.join("
+                  "t.column(n).tobytes() for n in t.schema.names))")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, timeout=120).stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
+
     def test_unknown_dataset(self):
         with pytest.raises(KeyError):
             datasets.load("nope")

@@ -106,10 +106,23 @@ def table_of(values, integral):
                  {"x": np.array(values, dtype=np.float64)})
 
 
+def categorical_table(*columns):
+    """One categorical column per ``(categories, codes)`` pair."""
+    attributes = tuple(Attribute(f"c{i}", CATEGORICAL,
+                                 categories=tuple(categories))
+                       for i, (categories, _) in enumerate(columns))
+    return Table(Schema(attributes),
+                 {f"c{i}": np.array(codes)
+                  for i, (_, codes) in enumerate(columns)})
+
+
 @settings(max_examples=200, deadline=None)
 @given(tables())
 @example(table_of([], integral=True))
 @example(table_of(EDGE_FLOATS, integral=False))
+@example(categorical_table((["", "a"], [0, 1, 0])))
+@example(categorical_table((["", 'say "hi"', "a,b"], [0, 1, 2, 0]),
+                           (["x", ""], [1, 0, 1, 1])))
 def test_encoders_match_the_per_value_reference(table):
     assert_same_encoding(table)
 

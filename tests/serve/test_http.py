@@ -198,6 +198,31 @@ class TestErrorMapping:
             raise AssertionError("expected 400")
 
 
+class TestKeepAlive:
+    def test_small_responses_do_not_wait_for_a_delayed_ack(self, server):
+        """Headers and body leave in separate sends.  With Nagle on, a
+        response smaller than one segment waits for the client's
+        delayed ACK (~40 ms) on a keep-alive connection."""
+        import http.client
+        import statistics
+        import time
+
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        seconds = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                seconds.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.020
+
+
 class TestBodyLimits:
     """Content-Length is checked before any body byte is read, so a
     hostile length is refused at once instead of pinning a handler
