@@ -4,9 +4,11 @@
 Boots a tiny model store, starts the HTTP front end, drives one seeded
 pooled request and one unseeded coalesced request through it, then
 scrapes ``GET /metrics`` and asserts the exposition parses and carries
-the serve, batcher, and pool-supervision series.  Exit 0 on success,
-1 with a diagnostic on any missing series — cheap enough to run on
-every push next to the benchmark gates.
+the serve, batcher, and pool-supervision series, and that ``GET
+/healthz`` reports the same request and row totals as the scrape.
+Exit 0 on success, 1 with a diagnostic on any missing series or
+mismatch — cheap enough to run on every push next to the benchmark
+gates.
 
 Usage::
 
@@ -31,6 +33,8 @@ REQUIRED_SERIES = (
     "repro_batcher_requests_total",
     "repro_batcher_queue_depth",
     "repro_batcher_coalesce_size_bucket",
+    "repro_batcher_submitted_total",
+    "repro_batcher_rows_total",
     "repro_pool_dispatch_total",
     "repro_pool_chunks_total",
     "repro_pool_inflight",
@@ -63,6 +67,9 @@ def main() -> int:
 
             post({"n": 600, "seed": 7, "batch": 200})  # pooled, sharded
             post({"n": 64})                            # coalesced
+            with urllib.request.urlopen(f"{server.url}/healthz",
+                                        timeout=30) as resp:
+                health = json.loads(resp.read())
             with urllib.request.urlopen(f"{server.url}/metrics",
                                         timeout=30) as resp:
                 content_type = resp.headers.get("Content-Type", "")
@@ -85,6 +92,13 @@ def main() -> int:
         print(f"FAIL: repro_serve_rows_total={rows}, expected >= 664",
               file=sys.stderr)
         return 1
+    for key, name in (("requests", "repro_serve_requests_total"),
+                      ("rows", "repro_serve_rows_total")):
+        scraped = sum(value for _labels, value in series[name])
+        if health[key] != scraped:
+            print(f"FAIL: /healthz {key}={health[key]} but {name} "
+                  f"sums to {scraped:.0f}", file=sys.stderr)
+            return 1
     print(f"OK: /metrics serves {len(series)} series "
           f"({rows:.0f} rows counted)")
     return 0

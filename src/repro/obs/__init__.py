@@ -4,7 +4,7 @@ Four small pieces, wired through serve / stream / nn:
 
 * :mod:`repro.obs.metrics` — thread-safe :class:`MetricsRegistry` with
   labeled counters, gauges, and fixed-bucket histograms; snapshot and
-  cross-process merge; near-zero cost when disabled.
+  cross-process merge.
 * :mod:`repro.obs.clock` — the single sanctioned clock (RC001/RC007):
   ``monotonic()`` for deadlines, ``perf()`` for durations, ``wall()``
   for human-facing timestamps; injectable for deterministic tests.

@@ -13,11 +13,12 @@ series per observed label-value combination:
 
 Design constraints, in order:
 
-* **Near-zero cost when disabled.**  Every mutator's first statement is
-  a plain attribute test against the registry's ``enabled`` flag — no
-  lock, no dict lookup, no allocation.  Hot paths that want *literal*
-  zero cost (the worker pool, the micro-batcher) instead take
-  ``metrics=None`` and skip the call entirely.
+* **One source of truth.**  A registry always records; there is no
+  off switch.  The serving layer keeps no counts of its own: the pool's
+  ``status()``, the batcher's ``stats`` and the service's ``/healthz``
+  read their numbers back from the instruments ``GET /metrics``
+  renders, so the views cannot disagree.  A component handed no
+  registry records into a private one.
 * **Exact under concurrency.**  Mutations take the registry lock, so N
   threads incrementing a counter M times yield exactly N*M.
 * **Mergeable snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
@@ -32,7 +33,6 @@ Histograms use fixed exponential buckets (default 0.5 ms doubling to
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..check.lockorder import make_lock
@@ -80,20 +80,22 @@ class Counter(_Instrument):
         self._series: Dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        registry = self._registry
-        if not registry.enabled:
-            return
         if amount < 0:
             raise ValueError(
                 f"amount must be >= 0, got {amount!r}: counters only "
                 f"go up (use a Gauge for signed values)")
         key = self._key(labels)
-        with registry._lock:
+        with self._registry._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: str) -> float:
         with self._registry._lock:
             return self._series.get(self._key(labels), 0.0)
+
+    def total(self) -> float:
+        """The sum over every label combination."""
+        with self._registry._lock:
+            return sum(self._series.values())
 
 
 class Gauge(_Instrument):
@@ -106,19 +108,13 @@ class Gauge(_Instrument):
         self._series: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
-        registry = self._registry
-        if not registry.enabled:
-            return
         key = self._key(labels)
-        with registry._lock:
+        with self._registry._lock:
             self._series[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        registry = self._registry
-        if not registry.enabled:
-            return
         key = self._key(labels)
-        with registry._lock:
+        with self._registry._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
@@ -146,10 +142,11 @@ class Histogram(_Instrument):
         self.buckets = buckets
         self._series: Dict[LabelKey, Dict[str, object]] = {}
 
+    def _empty_cell(self) -> Dict[str, object]:
+        return {"counts": [0] * (len(self.buckets) + 1), "sum": 0.0,
+                "count": 0}
+
     def observe(self, value: float, **labels: str) -> None:
-        registry = self._registry
-        if not registry.enabled:
-            return
         key = self._key(labels)
         value = float(value)
         index = len(self.buckets)
@@ -157,20 +154,27 @@ class Histogram(_Instrument):
             if value <= bound:
                 index = i
                 break
-        with registry._lock:
+        with self._registry._lock:
             cell = self._series.get(key)
             if cell is None:
-                cell = self._series[key] = {
-                    "counts": [0] * (len(self.buckets) + 1),
-                    "sum": 0.0, "count": 0}
+                cell = self._series[key] = self._empty_cell()
             cell["counts"][index] += 1
             cell["sum"] += value
             cell["count"] += 1
 
-    def count(self, **labels: str) -> int:
+    def read(self, **labels: str) -> Dict[str, object]:
+        """A copy of one series: ``counts`` per bin (non-cumulative,
+        the overflow bin last), ``sum`` and ``count``; all zero for a
+        series never observed."""
         with self._registry._lock:
             cell = self._series.get(self._key(labels))
-            return 0 if cell is None else int(cell["count"])
+            if cell is None:
+                return self._empty_cell()
+            return {"counts": list(cell["counts"]), "sum": cell["sum"],
+                    "count": cell["count"]}
+
+    def count(self, **labels: str) -> int:
+        return int(self.read(**labels)["count"])
 
 
 class MetricsRegistry:
@@ -188,17 +192,9 @@ class MetricsRegistry:
             "series lock; ship snapshot() dicts across processes and "
             "merge() them instead")
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = bool(enabled)
+    def __init__(self):
         self._lock = make_lock("obs.registry")
         self._instruments: Dict[str, _Instrument] = {}
-
-    # -- lifecycle -----------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
 
     # -- instrument construction --------------------------------------
     def _get_or_create(self, cls, name: str, help_text: str,
@@ -296,9 +292,7 @@ class MetricsRegistry:
                         key = tuple(key)
                         mine = inst._series.get(key)
                         if mine is None:
-                            mine = inst._series[key] = {
-                                "counts": [0] * (len(inst.buckets) + 1),
-                                "sum": 0.0, "count": 0}
+                            mine = inst._series[key] = inst._empty_cell()
                         for i, c in enumerate(cell["counts"]):
                             mine["counts"][i] += c
                         mine["sum"] += cell["sum"]
@@ -310,7 +304,6 @@ class MetricsRegistry:
 
 #: Process-global default registry: the service layer records into it
 #: unless handed an explicit one, and ``GET /metrics`` renders it.
-#: ``REPRO_METRICS=0`` in the environment starts it disabled.
 _default_registry: Optional[MetricsRegistry] = None
 
 
@@ -318,6 +311,5 @@ def get_registry() -> MetricsRegistry:
     """The process-global registry (created on first use)."""
     global _default_registry
     if _default_registry is None:
-        enabled = os.environ.get("REPRO_METRICS", "1") != "0"
-        _default_registry = MetricsRegistry(enabled=enabled)
+        _default_registry = MetricsRegistry()
     return _default_registry

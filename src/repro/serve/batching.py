@@ -33,6 +33,7 @@ from ..api.base import _count
 from ..check.lockorder import make_condition
 from ..datasets.schema import Table
 from ..obs import clock as _obs_clock
+from ..obs.metrics import MetricsRegistry
 from .errors import BackpressureError, PoolClosed, RequestTimeout
 
 #: sampler(model_name, n, seed) -> Table; provided by the service layer.
@@ -102,9 +103,11 @@ class MicroBatcher:
         long pass for one model never head-of-line blocks another
         model's requests behind the scheduler.
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry`.  ``None`` (the
-        default) records nothing and pays nothing — the hot path
-        carries no metric calls at all.
+        :class:`repro.obs.MetricsRegistry` the batcher counts into
+        (queue depth, requests per pass, submissions, rows, and
+        requests by outcome).  ``None`` (the default) gives it a
+        private registry.  :attr:`stats` reads its counts back from
+        here.
     """
 
     def __getstate__(self):
@@ -119,18 +122,23 @@ class MicroBatcher:
                  timeout: float = 30.0, executor_threads: int = 4,
                  metrics=None):
         self._sampler = sampler
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_depth = metrics.gauge(
-                "repro_batcher_queue_depth",
-                "Requests currently queued in the micro-batcher.")
-            self._m_coalesce = metrics.histogram(
-                "repro_batcher_coalesce_size",
-                "Requests coalesced into each executed pass.",
-                buckets=_COALESCE_BUCKETS)
-            self._m_requests = metrics.counter(
-                "repro_batcher_requests_total",
-                "Batcher requests by outcome.", labelnames=("outcome",))
+        metrics = MetricsRegistry() if metrics is None else metrics
+        self._m_depth = metrics.gauge(
+            "repro_batcher_queue_depth",
+            "Requests currently queued in the micro-batcher.")
+        self._m_coalesce = metrics.histogram(
+            "repro_batcher_coalesce_size",
+            "Requests coalesced into each executed pass.",
+            buckets=_COALESCE_BUCKETS)
+        self._m_requests = metrics.counter(
+            "repro_batcher_requests_total",
+            "Batcher requests by outcome.", labelnames=("outcome",))
+        self._m_submitted = metrics.counter(
+            "repro_batcher_submitted_total",
+            "Requests accepted into the batcher queue.")
+        self._m_rows = metrics.counter(
+            "repro_batcher_rows_total",
+            "Rows returned by successful batcher passes.")
         self.max_queue = _count("max_queue", max_queue, minimum=1)
         self.max_delay = float(max_delay)
         self.max_coalesce_rows = _count("max_coalesce_rows",
@@ -145,23 +153,26 @@ class MicroBatcher:
         self._queue: deque = deque()
         self._cond = make_condition("batcher.queue")
         self._closed = False
-        self.stats: Dict[str, int] = {
-            "submitted": 0, "rejected": 0, "timeouts": 0,
-            "coalesced_batches": 0, "coalesced_requests": 0,
-            "solo_requests": 0, "rows_served": 0,
-        }
         self._scheduler = threading.Thread(
             target=self._run, daemon=True, name="repro-serve-batcher")
         self._scheduler.start()
 
-    def _count_outcome(self, outcome: str, amount: int = 1) -> None:
-        if self._metrics is not None:
-            self._m_requests.inc(amount, outcome=outcome)
-
-    def _note_depth(self) -> None:
-        # Callers hold self._cond.
-        if self._metrics is not None:
-            self._m_depth.set(len(self._queue))
+    @property
+    def stats(self) -> Dict[str, int]:
+        """The registry's counts.  Passes are counted when they start
+        (a pass that later fails still counts); ``rows_served`` only
+        when they succeed."""
+        passes = self._m_coalesce.read()
+        solo = passes["counts"][0]  # the le=1 bucket: one request
+        return {
+            "submitted": int(self._m_submitted.value()),
+            "rejected": int(self._m_requests.value(outcome="rejected")),
+            "timeouts": int(self._m_requests.value(outcome="timeout")),
+            "coalesced_batches": passes["count"] - solo,
+            "coalesced_requests": int(passes["sum"]) - solo,
+            "solo_requests": solo,
+            "rows_served": int(self._m_rows.value()),
+        }
 
     # ------------------------------------------------------------------
     # Client side
@@ -186,20 +197,17 @@ class MicroBatcher:
             if self._closed:
                 raise PoolClosed("micro-batcher is closed")
             if len(self._queue) >= self.max_queue:
-                self.stats["rejected"] += 1
-                self._count_outcome("rejected")
+                self._m_requests.inc(outcome="rejected")
                 raise BackpressureError(
                     f"request queue is full ({self.max_queue} pending); "
                     "retry with backoff")
             self._queue.append(request)
-            self.stats["submitted"] += 1
-            self._note_depth()
+            self._m_submitted.inc()
+            self._m_depth.set(len(self._queue))
             self._cond.notify_all()
         if not request.event.wait(timeout):
             request.abandoned = True
-            with self._cond:
-                self.stats["timeouts"] += 1
-            self._count_outcome("timeout")
+            self._m_requests.inc(outcome="timeout")
             raise RequestTimeout(
                 f"request for {n} rows of {model!r} missed its "
                 f"{timeout:.3g}s deadline")
@@ -236,7 +244,7 @@ class MicroBatcher:
             if self._closed and not self._queue:
                 return None
             head = self._queue.popleft()
-            self._note_depth()
+            self._m_depth.set(len(self._queue))
             return head
 
     def _gather_followers(self, head: _Request) -> list:
@@ -259,7 +267,7 @@ class MicroBatcher:
                         break
                 if follower is not None:
                     self._queue.remove(follower)
-                    self._note_depth()
+                    self._m_depth.set(len(self._queue))
                     group.append(follower)
                     total += follower.n
                     continue
@@ -277,7 +285,7 @@ class MicroBatcher:
             now = _obs_clock.monotonic()
             if head.abandoned or now >= head.deadline:
                 head.finish(None, RequestTimeout("expired while queued"))
-                self._count_outcome("expired")
+                self._m_requests.inc(outcome="expired")
                 continue
             group = ([head] if head.seed is not None
                      else self._gather_followers(head))
@@ -317,7 +325,7 @@ class MicroBatcher:
             if request not in live:
                 request.finish(None, RequestTimeout("expired while queued"))
         if expired:
-            self._count_outcome("expired", expired)
+            self._m_requests.inc(expired, outcome="expired")
         if not live:
             return
         total = sum(r.n for r in live)
@@ -325,8 +333,7 @@ class MicroBatcher:
         # Any live request's trace covers the pass (coalesced groups
         # are unseeded, so at most the head is traced in practice).
         trace = next((r.trace for r in live if r.trace is not None), None)
-        if self._metrics is not None:
-            self._m_coalesce.observe(len(live))
+        self._m_coalesce.observe(len(live))
         try:
             if trace is None:
                 table = self._sampler(live[0].model, total, seed)
@@ -338,17 +345,11 @@ class MicroBatcher:
         except BaseException as exc:
             for request in live:
                 request.finish(None, exc)
-            self._count_outcome("error", len(live))
+            self._m_requests.inc(len(live), outcome="error")
             return
-        with self._cond:
-            self.stats["rows_served"] += total
-            if len(live) > 1:
-                self.stats["coalesced_batches"] += 1
-                self.stats["coalesced_requests"] += len(live)
-            else:
-                self.stats["solo_requests"] += 1
+        self._m_rows.inc(total)
         offset = 0
         for request in live:
             request.finish(slice_rows(table, offset, offset + request.n))
             offset += request.n
-        self._count_outcome("ok", len(live))
+        self._m_requests.inc(len(live), outcome="ok")

@@ -82,10 +82,12 @@ from ..api.seeding import fresh_seed
 from ..check.lockorder import make_condition, make_lock
 from ..datasets.schema import Table
 from ..obs import clock as _obs_clock
+from ..obs.metrics import MetricsRegistry
 from .circuit import RespawnBackoff
 from .errors import PoolClosed, RequestTimeout, ServingError, WorkerError
 from .faults import plan_from_env
-from .store import KIND_DATABASE, KIND_TABLE, load_model, model_kind
+from .store import (KIND_DATABASE, KIND_TABLE, load_model, model_kind,
+                    model_name)
 
 #: Handshake budget: covers the worker's model load (arrays from disk).
 DEFAULT_START_TIMEOUT = 120.0
@@ -445,10 +447,14 @@ class WorkerPool:
         Either way the pool is then *crashed*: new requests raise
         :class:`PoolClosed` and the service layer replaces the pool.
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry` for supervision
-        counters (dispatches, chunk deliveries/retries, deaths,
-        respawns) and the in-flight gauge.  ``None`` (the default)
-        records nothing and adds no calls to the hot path.
+        :class:`repro.obs.MetricsRegistry` for the supervision counters
+        (dispatches, chunk deliveries/retries, deaths, respawns) and
+        the in-flight gauge, labelled with the model name (the parent
+        directory's name for a published ``<name>/v0001`` version).
+        ``None`` (the default) gives the pool a private registry.
+        :meth:`status` reads its counts back for the pool's label, so
+        with a shared registry they are per-model lifetime counts: a
+        replacement pool reports its predecessor's retries too.
     event_ring:
         Capacity of the supervision event ring surfaced by
         :meth:`status` (events are stamped via :mod:`repro.obs.clock`).
@@ -500,46 +506,44 @@ class WorkerPool:
         self._meta: Dict[str, object] = {}
         self._inline_model = None
         self._slots: List[_WorkerSlot] = []
-        self._chunk_retries = 0
-        self._stale_dropped = 0
-        self._inline_recoveries = 0
         self._events: collections.deque = collections.deque(
             maxlen=event_ring)
-        self._metrics = metrics
-        self._model_label = self.path.name
-        if metrics is not None:
-            self._m_dispatch = metrics.counter(
-                "repro_pool_dispatch_total",
-                "Chunk tasks routed to workers/backlog/inline.",
-                labelnames=("model",))
-            self._m_chunks = metrics.counter(
-                "repro_pool_chunks_total",
-                "Chunks delivered to requests.",
-                labelnames=("model", "source"))
-            self._m_retries = metrics.counter(
-                "repro_pool_chunk_retries_total",
-                "Chunks requeued after worker deaths.",
-                labelnames=("model",))
-            self._m_deaths = metrics.counter(
-                "repro_pool_worker_deaths_total",
-                "Unexpected worker process deaths.",
-                labelnames=("model",))
-            self._m_respawns = metrics.counter(
-                "repro_pool_respawns_total",
-                "Workers respawned in place after a death.",
-                labelnames=("model",))
-            self._m_stale = metrics.counter(
-                "repro_pool_stale_dropped_total",
-                "Cancelled-request tasks skipped by workers.",
-                labelnames=("model",))
-            self._m_inline = metrics.counter(
-                "repro_pool_inline_recoveries_total",
-                "Tasks executed inline in the parent as a last resort.",
-                labelnames=("model",))
-            self._m_inflight = metrics.gauge(
-                "repro_pool_inflight",
-                "Requests executing or reserved against the pool.",
-                labelnames=("model",))
+        metrics = MetricsRegistry() if metrics is None else metrics
+        self._model_label = model_name(self.path)
+        self._m_dispatch = metrics.counter(
+            "repro_pool_dispatch_total",
+            "Chunk tasks routed to workers/backlog/inline.",
+            labelnames=("model",))
+        self._m_chunks = metrics.counter(
+            "repro_pool_chunks_total",
+            "Chunks delivered to requests.",
+            labelnames=("model", "source"))
+        self._m_retries = metrics.counter(
+            "repro_pool_chunk_retries_total",
+            "Chunks requeued after worker deaths.",
+            labelnames=("model",))
+        self._m_deaths = metrics.counter(
+            "repro_pool_worker_deaths_total",
+            "Unexpected worker process deaths.",
+            labelnames=("model",))
+        self._m_respawns = metrics.counter(
+            "repro_pool_respawns_total",
+            "Workers respawned in place after a death.",
+            labelnames=("model",))
+        self._m_stale = metrics.counter(
+            "repro_pool_stale_dropped_total",
+            "Cancelled-request tasks skipped by workers.",
+            labelnames=("model",))
+        self._m_inline = metrics.counter(
+            "repro_pool_inline_recoveries_total",
+            "Tasks executed inline in the parent as a last resort.",
+            labelnames=("model",))
+        # Moved by inc/dec, not set: a draining or degraded pool shares
+        # its model's series with the live one, and the gauge is their sum.
+        self._m_inflight = metrics.gauge(
+            "repro_pool_inflight",
+            "Requests executing or reserved against the pool.",
+            labelnames=("model",))
         self._fallback_lock = make_lock("pool.fallback")
         self._fallback_model = None
         if workers == 0:
@@ -750,8 +754,7 @@ class WorkerPool:
                                incarnation=slot.incarnation,
                                exitcode=process.exitcode,
                                ready=slot.ready)
-            if self._metrics is not None:
-                self._m_deaths.inc(model=self._model_label)
+            self._m_deaths.inc(model=self._model_label)
             if not self.respawn or \
                     slot.boot_failures >= self.max_boot_failures:
                 slot.retired = True
@@ -804,10 +807,7 @@ class WorkerPool:
             if pending.retries[index] > self.chunk_retry_budget and \
                     over_budget is None:
                 over_budget = index
-        with self._lock:
-            self._chunk_retries += len(todo)
-        if self._metrics is not None:
-            self._m_retries.inc(len(todo), model=self._model_label)
+        self._m_retries.inc(len(todo), model=self._model_label)
         if over_budget is not None:
             pending.fail(
                 f"chunk {over_budget} exceeded its retry budget of "
@@ -837,8 +837,7 @@ class WorkerPool:
                 self._spawn(slot)
                 self._record_event("respawn", slot=slot.slot,
                                    incarnation=slot.incarnation)
-                if self._metrics is not None:
-                    self._m_respawns.inc(model=self._model_label)
+                self._m_respawns.inc(model=self._model_label)
             except Exception as exc:
                 with self._lock:
                     slot.dead = True
@@ -914,9 +913,7 @@ class WorkerPool:
         with self._lock:
             pending = self._pending.get(req_id)
             cancelled = req_id in self._cancelled
-            self._inline_recoveries += 1
-        if self._metrics is not None:
-            self._m_inline.inc(model=self._model_label)
+        self._m_inline.inc(model=self._model_label)
         if pending is None or cancelled:
             return
         try:
@@ -938,14 +935,15 @@ class WorkerPool:
                                 "tags": {"chunk": index,
                                          "worker": "inline"}})
                             chunk_started = done
-                        if self._metrics is not None:
-                            self._m_chunks.inc(model=self._model_label,
-                                               source="inline")
+                        self._m_chunks.inc(model=self._model_label,
+                                           source="inline")
                         pending.deliver(index, chunk)
                 else:
                     _, _, scale, sizes, batch, seed = task
                     database = model.sample(scale, sizes=sizes,
                                             batch=batch, seed=seed)
+                    self._m_chunks.inc(model=self._model_label,
+                                       source="inline")
                     pending.deliver(0, database)
         except Exception as exc:
             pending.fail(f"inline recovery failed: "
@@ -1068,9 +1066,8 @@ class WorkerPool:
                 # Stitch before delivering: once the chunk is visible
                 # the request thread may finish and read the trace.
                 pending.stitch(index, span)
-                if self._metrics is not None:
-                    self._m_chunks.inc(model=self._model_label,
-                                       source="worker")
+                self._m_chunks.inc(model=self._model_label,
+                                   source="worker")
                 pending.deliver(index, payload)
         elif tag == "error":
             _, _, req_id, text = message
@@ -1087,9 +1084,7 @@ class WorkerPool:
             _, _, req_id = message
             with self._lock:
                 slot.claims.pop(req_id, None)
-                self._stale_dropped += 1
-            if self._metrics is not None:
-                self._m_stale.inc(model=self._model_label)
+            self._m_stale.inc(model=self._model_label)
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -1178,19 +1173,18 @@ class WorkerPool:
         return self._meta.get("default_batch")  # type: ignore[return-value]
 
     @property
-    def _processes(self) -> List[mp.process.BaseProcess]:
-        """Live process objects (compat shim for tests/diagnostics)."""
-        return [slot.process for slot in self._slots
-                if slot.process is not None]
-
-    @property
     def inflight(self) -> int:
         """Requests executing or reserved (used for idle-pool eviction)."""
         with self._lock:
             return self._inflight
 
     def status(self) -> Dict[str, object]:
-        """Supervision snapshot for /healthz and GET /models/{name}."""
+        """Supervision snapshot for /healthz and GET /models/{name}.
+
+        ``chunk_retries``, ``stale_dropped`` and ``inline_recoveries``
+        are the registry's counts for this pool's model label.
+        """
+        label = self._model_label
         with self._lock:
             slots = [{
                 "slot": slot.slot,
@@ -1211,9 +1205,10 @@ class WorkerPool:
                 "crashed": self._crashed,
                 "closed": self._closed,
                 "inflight": self._inflight,
-                "chunk_retries": self._chunk_retries,
-                "stale_dropped": self._stale_dropped,
-                "inline_recoveries": self._inline_recoveries,
+                "chunk_retries": int(self._m_retries.value(model=label)),
+                "stale_dropped": int(self._m_stale.value(model=label)),
+                "inline_recoveries": int(
+                    self._m_inline.value(model=label)),
                 "events": list(self._events),
                 "slots": slots,
             }
@@ -1232,20 +1227,14 @@ class WorkerPool:
                     f"pool for {self.path.name} is "
                     f"{'closed' if self._closed else 'crashed'}")
             self._inflight += 1
-            inflight = self._inflight
-        self._note_inflight(inflight)
+        self._m_inflight.inc(model=self._model_label)
         return self
 
     def release(self) -> None:
         """Undo one :meth:`retain`."""
         with self._lock:
             self._inflight -= 1
-            inflight = self._inflight
-        self._note_inflight(inflight)
-
-    def _note_inflight(self, inflight: int) -> None:
-        if self._metrics is not None:
-            self._m_inflight.set(inflight, model=self._model_label)
+        self._m_inflight.dec(model=self._model_label)
 
     # ------------------------------------------------------------------
     # Request plumbing
@@ -1261,16 +1250,14 @@ class WorkerPool:
             pending = _Pending(expected, kind, spec, trace=trace)
             self._pending[req_id] = pending
             self._inflight += 1
-            inflight = self._inflight
-        self._note_inflight(inflight)
+        self._m_inflight.inc(model=self._model_label)
         return req_id, pending
 
     def _end(self, req_id: int) -> None:
         with self._lock:
             pending = self._pending.pop(req_id, None)
             self._inflight -= 1
-            inflight = self._inflight
-        self._note_inflight(inflight)
+        self._m_inflight.dec(model=self._model_label)
         if pending is None:
             return
         with pending.cond:
@@ -1303,8 +1290,7 @@ class WorkerPool:
                   indices: List[int]) -> None:
         """Route chunk indices to a worker, the backlog, or inline."""
         task = pending.task_for(req_id, indices)
-        if self._metrics is not None:
-            self._m_dispatch.inc(len(indices), model=self._model_label)
+        self._m_dispatch.inc(len(indices), model=self._model_label)
         with self._lock:
             pending.dispatched.update(indices)
             if self._takeover:
@@ -1421,6 +1407,7 @@ class WorkerPool:
                            "start": chunk_started, "end": done,
                            "tags": {"chunk": index, "worker": "inline"}})
                 chunk_started = done
+            self._m_chunks.inc(model=self._model_label, source="inline")
             yield chunk
 
     def _stream_from_workers(self, n, batch, seed, plan, timeout,
@@ -1478,8 +1465,10 @@ class WorkerPool:
                 "sample()")
         seed = fresh_seed() if seed is None else seed
         if self._inline_model is not None:
-            return self._inline_model.sample(scale, sizes=sizes,
-                                             batch=batch, seed=seed)
+            database = self._inline_model.sample(scale, sizes=sizes,
+                                                 batch=batch, seed=seed)
+            self._m_chunks.inc(model=self._model_label, source="inline")
+            return database
         deadline = self._deadline(timeout)
         req_id, pending = self._begin(expected=1, kind="database",
                                       spec=(scale, sizes, batch, seed))

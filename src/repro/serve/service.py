@@ -100,13 +100,13 @@ class SynthesisService:
         (request latency histograms, row/error counters, circuit-state
         gauges, plus the pool and batcher series).  ``None`` (the
         default) uses the process registry from
-        :func:`repro.obs.get_registry`, which ``GET /metrics`` renders;
-        set ``REPRO_METRICS=0`` to start that registry disabled.
+        :func:`repro.obs.get_registry`.  ``GET /metrics`` renders it,
+        and :meth:`healthz` reads its counts from it.
     """
 
     def __getstate__(self):
         raise TypeError(
-            "SynthesisService is not picklable: it holds pool/stats "
+            "SynthesisService is not picklable: it holds pool/breaker "
             "locks and live worker pools; each process must build its "
             "own service over the shared store root")
 
@@ -145,9 +145,6 @@ class SynthesisService:
         self._draining: list = []
         self._pools_lock = make_lock("service.pools")
         self._closed = False
-        self._stats_lock = make_lock("service.stats")
-        self._requests = 0
-        self._rows = 0
         self.metrics = get_registry() if metrics is None else metrics
         self._m_requests = self.metrics.counter(
             "repro_serve_requests_total",
@@ -412,11 +409,6 @@ class SynthesisService:
         for old in drained:
             old.close()
 
-    def _count_request(self, rows: int) -> None:
-        with self._stats_lock:
-            self._requests += 1
-            self._rows += rows
-
     def _pop_surplus_locked(self, keep: str) -> list:
         """Deregister surplus pools, oldest first, but never one with
         requests in flight or still booting — they fall out later.
@@ -514,7 +506,6 @@ class SynthesisService:
         n = _count("n", n, minimum=1)
         if batch is not None:
             _count("batch", batch, minimum=1)
-        self._count_request(n)
         self._m_requests.inc(model=name, endpoint="sample")
         started = _obs_clock.perf()
         try:
@@ -557,7 +548,6 @@ class SynthesisService:
         stays retained until the iterator is exhausted or closed.
         """
         n = _count("n", n, minimum=1)
-        self._count_request(n)
         self._m_requests.inc(model=name, endpoint="sample_iter")
         started = _obs_clock.perf()
         if seed is None:
@@ -593,7 +583,6 @@ class SynthesisService:
                         seed: Optional[int] = None,
                         timeout: Optional[float] = None):
         """Serve one database request; returns ``(database, seed_used)``."""
-        self._count_request(0)
         self._m_requests.inc(model=name, endpoint="database")
         started = _obs_clock.perf()
         if seed is None:
@@ -675,6 +664,9 @@ class SynthesisService:
         }
 
     def healthz(self) -> Dict:
+        """Liveness plus counts read from :attr:`metrics`: ``requests``
+        is every accepted request, ``rows`` the rows served by requests
+        that succeeded, ``batcher`` the batcher's :attr:`stats`."""
         with self._pools_lock:
             pools = {name: entry.pool.status()
                      for name, entry in self._pools.items()
@@ -695,9 +687,9 @@ class SynthesisService:
             "circuits": circuits,
             "degraded": degraded,
             "draining": draining,
-            "requests": self._requests,
-            "rows": self._rows,
-            "batcher": dict(self.batcher.stats),
+            "requests": int(self._m_requests.total()),
+            "rows": int(self._m_rows.total()),
+            "batcher": self.batcher.stats,
         }
 
     def close(self) -> None:

@@ -81,6 +81,13 @@ def model_kind(path: PathLike) -> Optional[str]:
     return None
 
 
+def model_name(path: PathLike) -> str:
+    """The name a saved-model directory is served under: a published
+    version (``<root>/<name>/v0001``) takes its parent's name."""
+    path = pathlib.Path(path)
+    return path.parent.name if _VERSION_RE.match(path.name) else path.name
+
+
 def load_model(path: PathLike):
     """Load a saved model of either layout.
 

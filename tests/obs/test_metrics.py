@@ -5,7 +5,6 @@ import threading
 
 import pytest
 
-from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, get_registry
 
 
@@ -48,6 +47,14 @@ class TestCounter:
         counter.inc(1, index=3)
         assert counter.value(index="3") == 1
 
+    def test_total_sums_every_series(self, registry):
+        counter = registry.counter("rows_total", "Rows.",
+                                   labelnames=("model",))
+        assert counter.total() == 0
+        counter.inc(5, model="a")
+        counter.inc(7, model="b")
+        assert counter.total() == 12
+
 
 class TestGauge:
     def test_set_inc_dec(self, registry):
@@ -75,6 +82,20 @@ class TestHistogram:
         assert cell["counts"] == [1, 1, 0, 1]
         assert cell["count"] == 3
         assert cell["sum"] == pytest.approx(101.5)
+
+    def test_read_copies_one_series(self, registry):
+        hist = registry.histogram("size", "Size.", labelnames=("model",),
+                                  buckets=(1.0, 2.0))
+        assert hist.read(model="a") == {"counts": [0, 0, 0], "sum": 0.0,
+                                        "count": 0}
+        hist.observe(1, model="a")
+        hist.observe(3, model="a")
+        hist.observe(2, model="b")
+        cell = hist.read(model="a")
+        assert cell == {"counts": [1, 0, 1], "sum": 4.0, "count": 2}
+        cell["counts"][0] = 99
+        assert hist.read(model="a")["counts"][0] == 1
+        assert hist.count(model="b") == 1
 
     def test_default_buckets_are_increasing(self):
         assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
@@ -108,21 +129,6 @@ class TestRegistry:
         registry.histogram("latency", "L.", buckets=(1.0, 2.0))
         with pytest.raises(ValueError, match="latency"):
             registry.histogram("latency", "L.", buckets=(1.0, 2.0, 4.0))
-
-    def test_disabled_registry_records_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("events_total", "Events.")
-        gauge = registry.gauge("depth", "Depth.")
-        hist = registry.histogram("latency", "L.", buckets=(1.0,))
-        counter.inc(5)
-        gauge.set(5)
-        hist.observe(0.5)
-        assert counter.value() == 0
-        assert gauge.value() == 0
-        assert hist.count() == 0
-        registry.enable()
-        counter.inc(5)
-        assert counter.value() == 5
 
     def test_not_picklable(self, registry):
         with pytest.raises(TypeError, match="not picklable"):
@@ -193,8 +199,3 @@ class TestSnapshotMerge:
 class TestDefaultRegistry:
     def test_singleton(self):
         assert get_registry() is get_registry()
-
-    def test_env_var_disables_initial_state(self, monkeypatch):
-        monkeypatch.setattr(metrics_mod, "_default_registry", None)
-        monkeypatch.setenv("REPRO_METRICS", "0")
-        assert get_registry().enabled is False

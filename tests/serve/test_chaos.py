@@ -16,6 +16,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.serve import (
     FAULT_EXIT_CODE, CircuitBreaker, CircuitOpen, FaultPlan, PoolClosed,
     RespawnBackoff, ServingError, SynthesisServer, SynthesisService,
@@ -364,11 +365,13 @@ class TestServiceCircuit:
     """Circuit breaker at the service layer, over real boot failures."""
 
     def _service(self, model_root, clock, **kwargs):
+        # A private registry: status counts are per-model registry
+        # counts, so other tests' pools must not leak into them.
         return SynthesisService(
             model_root, workers=1, request_timeout=30.0,
             circuit_factory=lambda: CircuitBreaker(
                 failure_threshold=2, reset_timeout=5.0, clock=clock),
-            **kwargs)
+            metrics=MetricsRegistry(), **kwargs)
 
     def test_open_rejects_fast_then_heals_via_probe(
             self, model_root, monkeypatch):

@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from repro.obs import MetricsRegistry, parse_prometheus
 from repro.serve import SynthesisServer, SynthesisService
 
 
@@ -265,3 +266,44 @@ class TestBodyLimits:
         status, _, _ = post(server, "/models/adult-pb/sample",
                             {"n": 5, "seed": 1})
         assert status == 200
+
+
+class TestOneTelemetrySource:
+    def test_healthz_counts_match_the_metrics_scrape(self, model_root):
+        """/healthz reads its counts from the registry /metrics renders,
+        including for a request that fails after it was accepted."""
+        service = SynthesisService(model_root, workers=0,
+                                   coalesce_max_rows=64,
+                                   metrics=MetricsRegistry())
+        with SynthesisServer(service).start() as srv:
+            post(srv, "/models/adult-pb/sample", {"n": 25, "seed": 17})
+            post(srv, "/models/adult-pb/sample", {"n": 10})
+            code, _ = post_error(srv, "/models/adult-pb/sample",
+                                 {"n": 12, "seed": -1})
+            assert code == 400
+            health = json.loads(get(srv, "/healthz")[2])
+            scrape = parse_prometheus(get(srv, "/metrics")[2].decode())
+        service.close()
+
+        def total(name, **labels):
+            return sum(value for got, value in scrape.get(name, [])
+                       if all(got.get(k) == v for k, v in labels.items()))
+
+        assert health["requests"] == total("repro_serve_requests_total") \
+            == 3
+        assert health["rows"] == total("repro_serve_rows_total") == 35
+        solo = total("repro_batcher_coalesce_size_bucket", le="1")
+        assert health["batcher"] == {
+            "submitted": total("repro_batcher_submitted_total"),
+            "rejected": total("repro_batcher_requests_total",
+                              outcome="rejected"),
+            "timeouts": total("repro_batcher_requests_total",
+                              outcome="timeout"),
+            "coalesced_batches": total(
+                "repro_batcher_coalesce_size_count") - solo,
+            "coalesced_requests": total(
+                "repro_batcher_coalesce_size_sum") - solo,
+            "solo_requests": solo,
+            "rows_served": total("repro_batcher_rows_total"),
+        }
+        assert health["batcher"]["rows_served"] == 10

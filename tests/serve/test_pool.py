@@ -44,6 +44,43 @@ def test_inline_pool_bit_identical(model_root):
         assert_tables_equal(pool.sample(70, batch=32, seed=8), plain)
 
 
+def test_inline_pool_counts_its_chunks(model_root):
+    """A workers=0 pool counts every chunk it delivers, as inline."""
+    from repro.api import chunk_plan
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    with WorkerPool(model_root / "adult-pb", workers=0,
+                    metrics=registry) as pool:
+        pool.sample(70, batch=32, seed=8)
+    with WorkerPool(model_root / "shop-db", workers=0,
+                    metrics=registry) as pool:
+        pool.sample_database(1.0, seed=7)
+    chunks = registry.counter("repro_pool_chunks_total",
+                              labelnames=("model", "source"))
+    assert chunks.value(model="adult-pb", source="inline") \
+        == len(chunk_plan(70, 32))
+    assert chunks.value(model="shop-db", source="inline") == 1
+
+
+def test_inflight_gauge_sums_pools_of_one_model(model_root):
+    """Pools of one model (a draining pool beside its replacement) add
+    up in the in-flight gauge instead of overwriting each other."""
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    path = model_root / "adult-pb"
+    with WorkerPool(path, workers=0, metrics=registry) as old, \
+            WorkerPool(path, workers=0, metrics=registry) as new:
+        gauge = registry.gauge("repro_pool_inflight", labelnames=("model",))
+        old.retain()
+        new.retain()
+        new.release()
+        assert gauge.value(model="adult-pb") == 1
+        old.release()
+        assert gauge.value(model="adult-pb") == 0
+
+
 def test_default_batch_matches_local_default(model_root):
     """No explicit batch: the pool uses the model's own default chunk
     size, so the unbatched call is covered by the contract too."""
@@ -172,8 +209,8 @@ class TestValidationAndErrors:
         pool = WorkerPool(model_root / "adult-pb", workers=1,
                           request_timeout=60.0)
         try:
-            for process in pool._processes:
-                process.terminate()
+            for slot in pool._slots:
+                slot.process.terminate()
             out = pool.sample(50, batch=8, seed=1)
             for name in reference.schema.names:
                 np.testing.assert_array_equal(out.columns[name],
@@ -194,8 +231,8 @@ class TestValidationAndErrors:
                           request_timeout=60.0, respawn=False,
                           inline_fallback=False)
         try:
-            for process in pool._processes:
-                process.terminate()
+            for slot in pool._slots:
+                slot.process.terminate()
             start = _time.monotonic()
             with pytest.raises(ServingError):
                 pool.sample(50, batch=8, seed=1)

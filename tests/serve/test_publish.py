@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api import make_synthesizer
+from repro.obs import MetricsRegistry
 from repro.serve import (
     ModelNotFound, ModelStore, SynthesisServer, SynthesisService,
 )
@@ -155,6 +156,20 @@ class TestServicePublish:
             # The retired pool had no in-flight requests left, so a
             # registry sweep closes it.
             assert service.healthz()["draining"] == 0
+
+    def test_pool_series_are_labelled_with_the_model_name(self,
+                                                          tmp_path):
+        # Both models are published at <name>/v0001: labelling by the
+        # version directory would merge their series into one.
+        registry = MetricsRegistry()
+        with SynthesisService(tmp_path / "models", workers=1,
+                              metrics=registry) as service:
+            service.publish("alpha", fitted_pb(0))
+            service.publish("beta", fitted_pb(1))
+            service.sample("alpha", 24, batch=8, seed=1)
+            service.sample("beta", 16, batch=8, seed=1)
+        chunks = registry.snapshot()["repro_pool_chunks_total"]["series"]
+        assert chunks == {("alpha", "worker"): 3, ("beta", "worker"): 2}
 
 
 class TestHttpModelDetail:
