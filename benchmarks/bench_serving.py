@@ -10,8 +10,8 @@ row):
   (the sharded-seed contract is an acceptance criterion, not a hope).
 * **latency** — p50/p95 per-request wall clock under a concurrent load
   generator: ``REPRO_BENCH_SERVE_CONCURRENCY`` client threads each
-  firing small unseeded requests through the micro-batcher backed by
-  the largest pool, with coalescing stats recorded.
+  firing small requests at the largest pool, each with a fresh seed —
+  the path the service sends an unseeded request down.
 
 Worker scaling is hardware-bound: with fewer cores than workers the
 extra processes only add IPC overhead, so ``BENCH_serving.json``
@@ -40,9 +40,10 @@ from _harness import emit, run_once
 from bench_engine_microbench import _bench_table
 from repro.check import pool_leak_scope
 from repro.core.design_space import DesignConfig
+from repro.api.seeding import fresh_seed
 from repro.gan.synthesizer import GANSynthesizer
 from repro.report import format_table
-from repro.serve import MicroBatcher, WorkerPool
+from repro.serve import WorkerPool
 from repro.serve.pool import blas_threads, usable_cpus
 
 N_ROWS = int(os.environ.get("REPRO_BENCH_SERVE_ROWS", "100000"))
@@ -106,21 +107,17 @@ def _throughput_rows(model_dir, reference_table, batch) -> list:
     return rows
 
 
-def _latency_rows(model_dir, batch) -> list:
-    """Concurrent small-request load through the micro-batcher."""
+def _latency_rows(model_dir) -> list:
+    """Concurrent small-request load, one fresh seed per request."""
     workers = max(WORKER_COUNTS)
     latencies = []
     lock = threading.Lock()
     per_thread = max(N_REQUESTS // CONCURRENCY, 1)
     with WorkerPool(model_dir, workers=workers) as pool:
-        batcher = MicroBatcher(
-            lambda name, n, seed: pool.sample(n, batch=batch, seed=seed),
-            max_delay=0.002, timeout=120.0)
-
         def client():
             for _ in range(per_thread):
                 start = time.perf_counter()
-                table = batcher.submit("gan-mlp", REQ_ROWS)
+                table = pool.sample(REQ_ROWS, seed=fresh_seed())
                 elapsed = time.perf_counter() - start
                 assert len(table) == REQ_ROWS
                 with lock:
@@ -134,8 +131,6 @@ def _latency_rows(model_dir, batch) -> list:
         for thread in threads:
             thread.join()
         wall = time.perf_counter() - wall_start
-        stats = dict(batcher.stats)
-        batcher.close()
     total_rows = len(latencies) * REQ_ROWS
     return [{
         "mode": "latency", "workers": workers,
@@ -144,9 +139,6 @@ def _latency_rows(model_dir, batch) -> list:
         "p50_ms": round(float(np.percentile(latencies, 50)) * 1e3, 2),
         "p95_ms": round(float(np.percentile(latencies, 95)) * 1e3, 2),
         "aggregate_rows_per_sec": round(total_rows / wall, 1),
-        "coalesced_batches": stats["coalesced_batches"],
-        "coalesced_requests": stats["coalesced_requests"],
-        "solo_requests": stats["solo_requests"],
     }]
 
 
@@ -171,7 +163,7 @@ def test_serving_throughput(benchmark):
                          "seconds": round(ref_elapsed, 4),
                          "rows_per_sec": round(N_ROWS / ref_elapsed, 1)}]
                 rows.extend(_throughput_rows(model_dir, reference, batch))
-                rows.extend(_latency_rows(model_dir, batch))
+                rows.extend(_latency_rows(model_dir))
             rows.append({"mode": "meta", "cpus": usable_cpus(),
                          "blas_threads": blas_threads(),
                          "batch": batch, "method": "gan-mlp"})
@@ -188,7 +180,7 @@ def test_serving_throughput(benchmark):
         text = format_table(
             headers, table_rows,
             title=f"Serving benchmark — sample({N_ROWS}) via worker pool "
-                  f"+ {CONCURRENCY}-client micro-batch load "
+                  f"+ {CONCURRENCY}-client seeded small-request load "
                   f"({usable_cpus()} cpus)")
         return emit("serving", text, rows=rows)
 

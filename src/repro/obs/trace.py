@@ -2,8 +2,8 @@
 
 No thread-locals, no global collector: a :class:`Trace` is an ordinary
 object the caller threads through the code path it wants to watch
-(``service.sample(..., trace=t)`` → ``MicroBatcher.submit`` →
-``WorkerPool.sample`` → worker processes).  Spans are plain dicts at
+(``service.sample(..., trace=t)`` → ``WorkerPool.sample`` → worker
+processes).  Spans are plain dicts at
 the transport layer, so workers can time their chunk loop with zero
 knowledge of this module's classes and ship ``span.to_dict()`` back
 over the per-slot result pipes; the parent stitches them into the

@@ -2,16 +2,20 @@
 
 The consumer-facing layer of the reproduction: load persisted
 synthesizers by name, shard ``sample`` requests across worker
-processes with bit-identical reassembly, coalesce small concurrent
-requests, and expose it all over a dependency-free HTTP API.
+processes with bit-identical reassembly, bound the requests in flight,
+and expose it all over a dependency-free HTTP API.
 
 Layers (composable bottom-up)::
 
     ModelStore        name -> loaded model, versioned, LRU + refcounted
     WorkerPool        one model, N processes, sharded-seed sampling
-    MicroBatcher      coalesce small unseeded requests, backpressure
-    SynthesisService  store + pools + batcher, request routing
+    SynthesisService  store + pools, seeded routing, in-flight bound
     SynthesisServer   ThreadingHTTPServer front end
+
+Every table request takes the seeded, sharded path: an unseeded one
+gets a fresh seed, which the response reports so the draw can be
+replayed.  :class:`MicroBatcher` (coalescing small unseeded requests
+into one pass) is still exported, but no service builds one.
 
 Hot refresh: ``service.publish(name, synthesizer_or_dir)`` writes an
 immutable new version directory, swaps the model's ``ACTIVE`` pointer

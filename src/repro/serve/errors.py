@@ -20,10 +20,11 @@ class ModelNotFound(ServingError):
 
 
 class BackpressureError(ServingError):
-    """The request queue is full; the client should back off (HTTP 503).
+    """The service is at its in-flight bound (or a batcher queue is
+    full); the client should back off (HTTP 503).
 
-    Raised *immediately* at submission time — bounded queues shed load
-    at the edge rather than letting latency grow without bound.
+    Raised *immediately* at admission time — bounded admission sheds
+    load at the edge rather than letting latency grow without bound.
     """
 
 

@@ -7,8 +7,8 @@ connection, no third-party web stack.  Endpoints:
     Liveness + counters (JSON).
 ``GET /metrics``
     Prometheus text exposition of the service's metrics registry
-    (request latency histograms, pool supervision counters, batcher
-    queue depth, circuit-state gauges...).  Point a scraper here.
+    (request latency histograms, pool supervision counters, the
+    in-flight and circuit-state gauges...).  Point a scraper here.
 ``GET /models``
     The model catalogue with live-pool status (JSON).
 ``GET /models/{name}``
@@ -26,19 +26,23 @@ connection, no third-party web stack.  Endpoints:
         {"scale": 1.0, "sizes": {"orders": 200}, "seed": 17}
 
     ``seed`` makes the response reproducible (and is echoed back);
-    unseeded requests report the fresh seed the service assigned, or
-    ``null`` when the rows came out of a coalesced micro-batch.  With
-    ``"format": "csv"`` and ``"stream": true`` (or ``n`` past the
-    server's streaming threshold) the response is sent with chunked
-    transfer-encoding, one CSV fragment per generated chunk, so large
-    draws start flowing before generation finishes.  A JSON table
-    request may add ``"trace": true`` to get the request's stitched
-    span breakdown (batcher pass, pool dispatch, per-chunk worker
-    spans) back in the response under ``"trace"``.
+    an unseeded request reports the fresh seed the service assigned
+    (the JSON ``seed``, the CSV ``X-Repro-Seed`` header), so every
+    response can be replayed.  With ``"format": "csv"`` and
+    ``"stream": true`` (or ``n`` past the server's streaming threshold)
+    the response is sent with chunked transfer-encoding, one CSV
+    fragment per generated chunk, so large draws start flowing before
+    generation finishes.  A response that is not streamed is built in
+    memory, so it holds at most :data:`MAX_BUFFERED_ROWS` rows.  A JSON
+    table request may add ``"trace": true`` to get the request's
+    stitched span breakdown (pool dispatch, per-chunk worker spans)
+    back in the response under ``"trace"``.
 
 Errors map 1:1 from the serving exception hierarchy: 404 unknown model,
-400 invalid request, 413 body over :data:`MAX_BODY_BYTES`, 503
-backpressure (with ``Retry-After``), 504 deadline, 500 worker failure.
+400 invalid request, 413 body over :data:`MAX_BODY_BYTES` or buffered
+response over :data:`MAX_BUFFERED_ROWS`, 503 over the service's
+in-flight bound or an open circuit (with ``Retry-After``), 504
+deadline, 500 worker failure.
 """
 
 from __future__ import annotations
@@ -69,10 +73,18 @@ _MODEL_ROUTE = re.compile(r"^/models/([A-Za-z0-9][A-Za-z0-9._-]*)$")
 DEFAULT_STREAM_THRESHOLD = 50_000
 #: Largest request body read (sample requests are a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
+#: Most rows in a response that is not streamed (about 45 MB of JSON
+#: at 15 columns); larger draws must stream as CSV.
+MAX_BUFFERED_ROWS = 1 << 18
 
 
 class BodyTooLarge(ValueError):
     """The declared request body exceeds :data:`MAX_BODY_BYTES` (413)."""
+
+
+class ResponseTooLarge(ValueError):
+    """A response that is not streamed would exceed
+    :data:`MAX_BUFFERED_ROWS` rows (413)."""
 
 
 class _StreamAborted(Exception):
@@ -87,7 +99,7 @@ class _StreamAborted(Exception):
 
 
 def _status_for(exc: Exception) -> int:
-    if isinstance(exc, BodyTooLarge):
+    if isinstance(exc, (BodyTooLarge, ResponseTooLarge)):
         return 413
     if isinstance(exc, ModelNotFound):
         return 404
@@ -265,6 +277,11 @@ class _Handler(BaseHTTPRequestHandler):
         if traced and (stream or out_format != "json"):
             raise ValueError(
                 "trace=true requires a non-streaming json response")
+        if not stream and isinstance(n, int) and n > MAX_BUFFERED_ROWS:
+            raise ResponseTooLarge(
+                f"a response that is not streamed holds at most "
+                f"{MAX_BUFFERED_ROWS} rows, got n={n}; request "
+                f"\"format\": \"csv\", \"stream\": true for larger draws")
         if stream:
             chunks, used_seed = self.service.sample_iter(
                 name, n, batch=batch, seed=seed)
@@ -287,10 +304,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(200)
             self.send_header("Content-Type", "text/csv")
             self.send_header("Content-Length", str(len(data)))
-            if used_seed is not None:
-                # Coalesced rows have no standalone stream: omit the
-                # replay token rather than sending a literal "None".
-                self.send_header("X-Repro-Seed", str(used_seed))
+            self.send_header("X-Repro-Seed", str(used_seed))
             self.end_headers()
             self.wfile.write(data)
             return

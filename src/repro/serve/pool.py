@@ -1384,11 +1384,11 @@ class WorkerPool:
                 if self._closed:
                     raise PoolClosed(
                         f"pool for {self.path.name} is closed")
-            return self._iter_inline(n, batch, seed, timeout, trace)
+            return self._iter_inline(n, batch, seed, plan, timeout, trace)
         return self._stream_from_workers(n, batch, seed, plan, timeout,
                                          windowed, trace)
 
-    def _iter_inline(self, n, batch, seed, timeout,
+    def _iter_inline(self, n, batch, seed, plan, timeout,
                      trace=None) -> Iterator[Table]:
         # Best-effort deadline: generation runs on the caller's thread,
         # so the check lands between chunks (a single chunk cannot be
@@ -1396,8 +1396,11 @@ class WorkerPool:
         # boundary instead of never.
         deadline = self._deadline(timeout)
         chunk_started = _obs_clock.perf()
-        for index, chunk in self._inline_model.sample_chunks(
-                n, batch=batch, seed=seed):
+        chunks = self._inline_model.sample_chunks(n, batch=batch, seed=seed)
+        for _ in plan:
+            # Counted before the chunk runs, as a worker dispatch is.
+            self._m_dispatch.inc(model=self._model_label)
+            index, chunk = next(chunks)
             if deadline is not None and _obs_clock.monotonic() > deadline:
                 raise RequestTimeout(
                     "inline request passed its deadline mid-stream")
@@ -1465,6 +1468,7 @@ class WorkerPool:
                 "sample()")
         seed = fresh_seed() if seed is None else seed
         if self._inline_model is not None:
+            self._m_dispatch.inc(model=self._model_label)
             database = self._inline_model.sample(scale, sizes=sizes,
                                                  batch=batch, seed=seed)
             self._m_chunks.inc(model=self._model_label, source="inline")

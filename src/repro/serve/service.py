@@ -1,21 +1,20 @@
-"""The synthesis service: store + worker pools + micro-batcher.
+"""The synthesis service: store + worker pools + admission.
 
 :class:`SynthesisService` is the process-level object a deployment
 holds: it resolves model names through a :class:`ModelStore`, keeps one
 :class:`WorkerPool` per actively-served model (LRU-capped, idle pools
-are shut down), routes small unseeded requests through the
-:class:`MicroBatcher`, and exposes the sampling entry points the HTTP
-front end (or an embedding application) calls.
+are shut down), and exposes the sampling entry points the HTTP front
+end (or an embedding application) calls.
 
-Request routing:
+Request routing: every request takes the seeded, sharded pool path.
+An unseeded request gets :func:`~repro.api.seeding.fresh_seed` and
+reports it, so every response can be replayed; the chunk plan is
+strided across the workers either way.
 
-* ``seed`` given        -> straight to the pool (deterministic path;
-  coalescing would change the stream);
-* unseeded, small ``n`` -> micro-batcher (coalesced with concurrent
-  requests for the same model);
-* unseeded, large ``n`` -> pool with a fresh request seed (sharded
-  across workers; the assigned seed is reported so the draw can be
-  replayed).
+Admission: at most :data:`MAX_INFLIGHT` requests are in flight at
+once, counted from acceptance until the response ends (a stream until
+it is exhausted, closed or collected).  One more is refused at once
+with :class:`BackpressureError` (HTTP 503 + ``Retry-After``).
 
 Failure containment: each model gets a :class:`CircuitBreaker`.
 Repeated pool boot failures or pool crashes open the circuit, after
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..api.base import PathLike, _count
@@ -39,15 +39,16 @@ from ..check.lockorder import make_lock
 from ..datasets.schema import Table
 from ..obs import clock as _obs_clock
 from ..obs.metrics import get_registry
-from .batching import MicroBatcher
 from .circuit import CircuitBreaker
-from .errors import CircuitOpen, ModelNotFound, PoolClosed, ServingError
+from .errors import (
+    BackpressureError, CircuitOpen, ModelNotFound, PoolClosed, ServingError,
+)
 from .pool import WorkerPool
 from .store import ModelStore
 
-#: Unseeded requests at or below this many rows go through the
-#: micro-batcher; larger ones shard across the pool directly.
-DEFAULT_COALESCE_MAX_ROWS = 4096
+#: Requests a service holds at once, from acceptance until the response
+#: ends; one more is refused with :class:`BackpressureError`.
+MAX_INFLIGHT = 256
 
 
 class _PoolEntry:
@@ -83,9 +84,6 @@ class SynthesisService:
         idle pool is shut down when a new model needs one.
     request_timeout:
         Default per-request deadline (seconds).
-    coalesce_max_rows:
-        Routing threshold for the micro-batcher (``0`` disables
-        coalescing entirely).
     degraded:
         What happens while a model's circuit is open: ``"reject"``
         (default) fails fast with :class:`CircuitOpen`;
@@ -97,8 +95,8 @@ class SynthesisService:
         injectable so tests can use thresholds and a fake clock.
     metrics:
         :class:`repro.obs.MetricsRegistry` the service records into
-        (request latency histograms, row/error counters, circuit-state
-        gauges, plus the pool and batcher series).  ``None`` (the
+        (request latency histograms, row/error counters, the in-flight
+        and circuit-state gauges, plus the pool series).  ``None`` (the
         default) uses the process registry from
         :func:`repro.obs.get_registry`.  ``GET /metrics`` renders it,
         and :meth:`healthz` reads its counts from it.
@@ -113,8 +111,6 @@ class SynthesisService:
     def __init__(self, root: PathLike, *, workers: int = 2,
                  store_capacity: int = 4, pool_capacity: int = 4,
                  request_timeout: float = 60.0,
-                 coalesce_max_rows: int = DEFAULT_COALESCE_MAX_ROWS,
-                 batch_window: float = 0.005,
                  degraded: str = "reject",
                  circuit_factory=None, metrics=None):
         if degraded not in ("reject", "inline"):
@@ -129,8 +125,6 @@ class SynthesisService:
         self.pool_capacity = _count("pool_capacity", pool_capacity,
                                     minimum=1)
         self.request_timeout = request_timeout
-        self.coalesce_max_rows = _count("coalesce_max_rows",
-                                        coalesce_max_rows, minimum=0)
         self.degraded = degraded
         self._circuit_factory = (CircuitBreaker if circuit_factory is None
                                  else circuit_factory)
@@ -145,6 +139,9 @@ class SynthesisService:
         self._draining: list = []
         self._pools_lock = make_lock("service.pools")
         self._closed = False
+        # Admission control state; the gauge below mirrors it.
+        self._inflight = 0
+        self._inflight_lock = make_lock("service.inflight")
         self.metrics = get_registry() if metrics is None else metrics
         self._m_requests = self.metrics.counter(
             "repro_serve_requests_total",
@@ -165,9 +162,9 @@ class SynthesisService:
             "repro_serve_circuit_state",
             "Circuit state per model: 0=closed 1=half_open 2=open.",
             labelnames=("model",))
-        self.batcher = MicroBatcher(
-            self._batched_sample, timeout=request_timeout,
-            max_delay=batch_window, metrics=self.metrics)
+        self._m_inflight = self.metrics.gauge(
+            "repro_serve_inflight",
+            "Requests admitted and not yet finished.")
 
     # ------------------------------------------------------------------
     # Pool management
@@ -478,53 +475,58 @@ class SynthesisService:
     # ------------------------------------------------------------------
     # Sampling entry points
     # ------------------------------------------------------------------
-    def _batched_sample(self, name: str, n: int, seed: Optional[int],
-                        trace=None) -> Table:
-        """Backend the micro-batcher executes coalesced passes on."""
-        pool = self._retained_pool(name)
+    @contextmanager
+    def _admitted_pool(self, name: str) -> Iterator[WorkerPool]:
+        """Admit one request against :data:`MAX_INFLIGHT` and retain a
+        pool for it; both are released when the block exits.
+
+        Admission comes first, so a request over the bound is refused
+        before it resolves (or boots) a pool.
+        """
+        with self._inflight_lock:
+            if self._inflight >= MAX_INFLIGHT:
+                raise BackpressureError(
+                    f"{MAX_INFLIGHT} requests already in flight; "
+                    "retry later")
+            self._inflight += 1
+            # Under the lock, so the gauge moves in step with the count.
+            self._m_inflight.inc()
         try:
-            return pool.sample(n, seed=seed, trace=trace)
+            pool = self._retained_pool(name)
+            try:
+                yield pool
+            finally:
+                pool.release()
         finally:
-            pool.release()
+            with self._inflight_lock:
+                self._inflight -= 1
+                self._m_inflight.dec()
 
     def sample(self, name: str, n: int, batch: Optional[int] = None,
                seed: Optional[int] = None,
-               timeout: Optional[float] = None,
-               coalesce: Optional[bool] = None, trace=None
-               ) -> Tuple[Table, Optional[int]]:
+               timeout: Optional[float] = None, trace=None
+               ) -> Tuple[Table, int]:
         """Serve one table request; returns ``(table, seed_used)``.
 
-        ``seed_used`` is the request's reproducibility token: echo of
-        the client seed, the fresh seed assigned to an uncoalesced
-        unseeded request, or ``None`` for a coalesced request (its rows
-        came out of a shared pass and have no standalone stream).
+        ``seed_used`` is the request's reproducibility token: the
+        client's seed, or the fresh seed assigned to an unseeded
+        request.  Resending it returns the same rows.
 
         ``trace`` (a :class:`repro.obs.Trace`) rides the request
-        through the batcher and pool; on return it holds the stitched
-        per-chunk span breakdown and is finished.
+        through the pool; on return it holds the stitched per-chunk
+        span breakdown and is finished.
         """
         n = _count("n", n, minimum=1)
         if batch is not None:
             _count("batch", batch, minimum=1)
         self._m_requests.inc(model=name, endpoint="sample")
         started = _obs_clock.perf()
+        if seed is None:
+            seed = fresh_seed()
         try:
-            if coalesce is None:
-                coalesce = (seed is None and batch is None
-                            and 0 < n <= self.coalesce_max_rows)
-            if coalesce and seed is None and batch is None:
-                result = (self.batcher.submit(name, n, timeout=timeout,
-                                              trace=trace), None)
-            else:
-                if seed is None:
-                    seed = fresh_seed()
-                pool = self._retained_pool(name)
-                try:
-                    table = pool.sample(n, batch=batch, seed=seed,
-                                        timeout=timeout, trace=trace)
-                finally:
-                    pool.release()
-                result = (table, seed)
+            with self._admitted_pool(name) as pool:
+                table = pool.sample(n, batch=batch, seed=seed,
+                                    timeout=timeout, trace=trace)
         except BaseException as exc:
             self._m_errors.inc(model=name, endpoint="sample",
                                error=type(exc).__name__)
@@ -534,7 +536,7 @@ class SynthesisService:
         self._m_rows.inc(n, model=name)
         if trace is not None:
             trace.finish()
-        return result
+        return table, seed
 
     def sample_iter(self, name: str, n: int,
                     batch: Optional[int] = None,
@@ -544,39 +546,38 @@ class SynthesisService:
         """Streaming variant: ``(chunk iterator, seed_used)``.
 
         Chunks arrive in order while later ones are still generating —
-        the HTTP layer forwards them as a chunked response.  The pool
-        stays retained until the iterator is exhausted or closed.
+        the HTTP layer forwards them as a chunked response.  The
+        request is admitted and its pool retained before this returns,
+        and both stay held until the iterator is exhausted, closed or
+        collected, whether or not it yielded a chunk.
         """
         n = _count("n", n, minimum=1)
         self._m_requests.inc(model=name, endpoint="sample_iter")
         started = _obs_clock.perf()
         if seed is None:
             seed = fresh_seed()
-        try:
-            pool = self._retained_pool(name)
-        except BaseException as exc:
-            self._m_errors.inc(model=name, endpoint="sample_iter",
-                               error=type(exc).__name__)
-            raise
 
-        def released_stream():
+        def stream():
             try:
-                yield from pool.sample_iter(n, batch=batch, seed=seed,
-                                            timeout=timeout)
+                with self._admitted_pool(name) as pool:
+                    # Parked here once admitted: a generator's finally
+                    # only runs after it started, so the caller gets a
+                    # started stream that releases on close or collection.
+                    yield
+                    yield from pool.sample_iter(n, batch=batch, seed=seed,
+                                                timeout=timeout)
             except BaseException as exc:
                 self._m_errors.inc(model=name, endpoint="sample_iter",
                                    error=type(exc).__name__)
                 raise
-            else:
-                # Latency covers the full stream, not just acquisition.
-                self._m_latency.observe(_obs_clock.perf() - started,
-                                        model=name,
-                                        endpoint="sample_iter")
-                self._m_rows.inc(n, model=name)
-            finally:
-                pool.release()
+            # Latency covers the full stream, not just acquisition.
+            self._m_latency.observe(_obs_clock.perf() - started,
+                                    model=name, endpoint="sample_iter")
+            self._m_rows.inc(n, model=name)
 
-        return released_stream(), seed
+        chunks = stream()
+        next(chunks)
+        return chunks, seed
 
     def sample_database(self, name: str, scale: float = 1.0, *,
                         sizes: Optional[Dict[str, int]] = None,
@@ -588,12 +589,9 @@ class SynthesisService:
         if seed is None:
             seed = fresh_seed()
         try:
-            pool = self._retained_pool(name)
-            try:
+            with self._admitted_pool(name) as pool:
                 database = pool.sample_database(
                     scale, sizes=sizes, seed=seed, timeout=timeout)
-            finally:
-                pool.release()
         except BaseException as exc:
             self._m_errors.inc(model=name, endpoint="database",
                                error=type(exc).__name__)
@@ -666,7 +664,8 @@ class SynthesisService:
     def healthz(self) -> Dict:
         """Liveness plus counts read from :attr:`metrics`: ``requests``
         is every accepted request, ``rows`` the rows served by requests
-        that succeeded, ``batcher`` the batcher's :attr:`stats`."""
+        that succeeded, ``inflight`` the requests admitted and not yet
+        finished."""
         with self._pools_lock:
             pools = {name: entry.pool.status()
                      for name, entry in self._pools.items()
@@ -689,7 +688,7 @@ class SynthesisService:
             "draining": draining,
             "requests": int(self._m_requests.total()),
             "rows": int(self._m_rows.total()),
-            "batcher": self.batcher.stats,
+            "inflight": int(self._m_inflight.value()),
         }
 
     def close(self) -> None:
@@ -703,7 +702,6 @@ class SynthesisService:
             self._pools.clear()
             self._degraded_pools.clear()
             self._draining = []
-        self.batcher.close()
         for entry in entries:
             if entry.ready.is_set() and entry.error is None \
                     and entry.pool is not None:

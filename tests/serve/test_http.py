@@ -12,8 +12,7 @@ from repro.serve import SynthesisServer, SynthesisService
 
 @pytest.fixture(scope="module")
 def server(model_root):
-    service = SynthesisService(model_root, workers=0,
-                               coalesce_max_rows=64)
+    service = SynthesisService(model_root, workers=0)
     with SynthesisServer(service).start() as srv:
         yield srv
     service.close()
@@ -47,7 +46,7 @@ class TestInfoRoutes:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["models"] == 4
-        assert "batcher" in payload
+        assert "inflight" in payload
 
     def test_models(self, server):
         status, _, body = get(server, "/models")
@@ -84,13 +83,17 @@ class TestTableSampling:
         payload = json.loads(body)
         assert set(payload["columns"]["job"]) <= {"eng", "doc", "art"}
 
-    def test_unseeded_small_request_coalesced(self, server):
+    def test_unseeded_small_request_reports_a_replayable_seed(self,
+                                                             server):
         status, _, body = post(server, "/models/adult-pb/sample",
                                {"n": 10})
         payload = json.loads(body)
         assert status == 200
-        assert payload["seed"] is None  # rows came from a shared pass
+        assert isinstance(payload["seed"], int)
         assert len(payload["columns"]["age"]) == 10
+        _, _, replay = post(server, "/models/adult-pb/sample",
+                            {"n": 10, "seed": payload["seed"]})
+        assert json.loads(replay)["columns"] == payload["columns"]
 
     def test_unseeded_large_request_reports_assigned_seed(self, server):
         _, _, body = post(server, "/models/adult-pb/sample", {"n": 100})
@@ -101,13 +104,18 @@ class TestTableSampling:
                             {"n": 100, "seed": payload["seed"]})
         assert json.loads(replay)["columns"] == payload["columns"]
 
-    def test_coalesced_csv_omits_seed_header(self, server):
-        # Unseeded + small -> coalesced: no standalone stream, so the
-        # replay-token header must be absent (not the string "None").
-        _, headers, body = post(server, "/models/adult-pb/sample",
-                                {"n": 10, "format": "csv"})
-        assert headers.get("X-Repro-Seed") is None
-        assert len(body.decode().strip().splitlines()) == 11
+    def test_unseeded_csv_reports_a_replayable_seed_header(self, server):
+        for stream in (False, True):
+            _, headers, body = post(server, "/models/adult-pb/sample",
+                                    {"n": 10, "format": "csv",
+                                     "stream": stream})
+            seed = int(headers["X-Repro-Seed"])
+            assert len(body.decode().strip().splitlines()) == 11
+            _, replay_headers, replay = post(
+                server, "/models/adult-pb/sample",
+                {"n": 10, "format": "csv", "stream": stream, "seed": seed})
+            assert replay_headers["X-Repro-Seed"] == str(seed)
+            assert replay == body
 
     def test_csv_format(self, server):
         _, headers, body = post(server, "/models/adult-pb/sample",
@@ -268,12 +276,44 @@ class TestBodyLimits:
         assert status == 200
 
 
+class TestBufferedRowLimit:
+    """A response that is not streamed is built in memory, so its row
+    count is bounded; a streamed CSV is flow-controlled and is not."""
+
+    def test_oversized_buffered_response_413(self, server):
+        from repro.serve.http import MAX_BUFFERED_ROWS
+
+        for body in ({"n": 100_000_000},
+                     {"n": MAX_BUFFERED_ROWS + 1, "format": "csv",
+                      "stream": False}):
+            code, payload = post_error(server, "/models/adult-pb/sample",
+                                       body)
+            assert code == 413
+            assert payload["error"] == "ResponseTooLarge"
+            assert '"stream": true' in payload["detail"]
+        # The server keeps serving normal requests.
+        status, _, _ = post(server, "/models/adult-pb/sample",
+                            {"n": 5, "seed": 1})
+        assert status == 200
+
+    def test_streamed_csv_is_not_row_bounded(self, server, monkeypatch):
+        from repro.serve import http
+
+        monkeypatch.setattr(http, "MAX_BUFFERED_ROWS", 16)
+        code, _ = post_error(server, "/models/adult-pb/sample",
+                             {"n": 17, "seed": 1})
+        assert code == 413
+        _, _, body = post(server, "/models/adult-pb/sample",
+                          {"n": 40, "seed": 1, "format": "csv",
+                           "stream": True})
+        assert len(body.decode().strip().splitlines()) == 41
+
+
 class TestOneTelemetrySource:
     def test_healthz_counts_match_the_metrics_scrape(self, model_root):
         """/healthz reads its counts from the registry /metrics renders,
         including for a request that fails after it was accepted."""
         service = SynthesisService(model_root, workers=0,
-                                   coalesce_max_rows=64,
                                    metrics=MetricsRegistry())
         with SynthesisServer(service).start() as srv:
             post(srv, "/models/adult-pb/sample", {"n": 25, "seed": 17})
@@ -292,18 +332,4 @@ class TestOneTelemetrySource:
         assert health["requests"] == total("repro_serve_requests_total") \
             == 3
         assert health["rows"] == total("repro_serve_rows_total") == 35
-        solo = total("repro_batcher_coalesce_size_bucket", le="1")
-        assert health["batcher"] == {
-            "submitted": total("repro_batcher_submitted_total"),
-            "rejected": total("repro_batcher_requests_total",
-                              outcome="rejected"),
-            "timeouts": total("repro_batcher_requests_total",
-                              outcome="timeout"),
-            "coalesced_batches": total(
-                "repro_batcher_coalesce_size_count") - solo,
-            "coalesced_requests": total(
-                "repro_batcher_coalesce_size_sum") - solo,
-            "solo_requests": solo,
-            "rows_served": total("repro_batcher_rows_total"),
-        }
-        assert health["batcher"]["rows_served"] == 10
+        assert health["inflight"] == total("repro_serve_inflight") == 0

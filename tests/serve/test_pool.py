@@ -63,6 +63,28 @@ def test_inline_pool_counts_its_chunks(model_root):
     assert chunks.value(model="shop-db", source="inline") == 1
 
 
+def test_inline_pool_counts_its_dispatches(model_root):
+    """A workers=0 pool counts one dispatch per chunk it runs, so the
+    delivered/dispatched ratio has a base there too."""
+    from repro.api import chunk_plan
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    dispatch = registry.counter("repro_pool_dispatch_total",
+                                labelnames=("model",))
+    with WorkerPool(model_root / "adult-pb", workers=0,
+                    metrics=registry) as pool:
+        pool.sample(70, batch=32, seed=8)
+        assert dispatch.value(model="adult-pb") == len(chunk_plan(70, 32))
+        pool.sample(10, batch=4, seed=8)
+        assert dispatch.value(model="adult-pb") == \
+            len(chunk_plan(70, 32)) + len(chunk_plan(10, 4))
+    with WorkerPool(model_root / "shop-db", workers=0,
+                    metrics=registry) as pool:
+        pool.sample_database(1.0, seed=7)
+    assert dispatch.value(model="shop-db") == 1
+
+
 def test_inflight_gauge_sums_pools_of_one_model(model_root):
     """Pools of one model (a draining pool beside its replacement) add
     up in the in-flight gauge instead of overwriting each other."""
