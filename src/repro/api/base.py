@@ -11,8 +11,14 @@ PrivBayes — implements the same contract:
 * ``sample_iter(n, ...)``           streaming generation in table chunks;
 * ``fit_sample(table, ...)``        the two phases in one call;
 * ``save(path)`` / ``load(path)``   persistence: JSON metadata (config,
-  fitted transformer state) plus ``.npz`` arrays via
+  fitted transformer state, engine dtype) plus ``.npz`` arrays via
   :mod:`repro.nn.serialization`.
+
+A synthesizer samples in the engine dtype it was fitted in, not the
+process default: every chunk runs inside that dtype's thread-local
+:func:`repro.nn.default_dtype` scope, so a seeded draw is the same in
+the fitting process, after ``load`` in a process of either default
+dtype, and in a serving worker.
 
 Subclasses implement the small hook surface at the bottom of
 :class:`Synthesizer` (``_fit``, ``_sample_chunk``, ``_state``,
@@ -39,6 +45,7 @@ from ..check.sanitize import deterministic_scope
 from ..datasets.schema import Table
 from ..errors import ConfigError, StreamError, TrainingError
 from ..nn.serialization import load_state, save_state
+from ..nn.tensor import SUPPORTED_DTYPES, default_dtype, get_default_dtype
 from .seeding import substream
 
 PathLike = Union[str, pathlib.Path]
@@ -151,6 +158,8 @@ class Synthesizer:
         self._stream_dirty = False
         self._stream_rows = 0
         self._stream_chunks = 0
+        # The engine dtype the model is fitted in; sampling runs in it.
+        self._dtype = get_default_dtype()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -222,6 +231,7 @@ class Synthesizer:
         self._stream_dirty = False
         self._stream_rows = 0
         self._stream_chunks = 0
+        self._dtype = get_default_dtype()
         self._reset_fit_state()
 
     # ------------------------------------------------------------------
@@ -278,6 +288,7 @@ class Synthesizer:
         except Exception:
             self._stream_dirty = True
             raise
+        self._dtype = get_default_dtype()
         self._fitted = True
         return self
 
@@ -346,7 +357,10 @@ class Synthesizer:
         the stream for a given ``(n, batch, seed)`` is bit-identical no
         matter which process — or how many :mod:`repro.serve` workers —
         computes its chunks.  With ``seed=None`` the shared training RNG
-        is consumed sequentially (legacy behaviour).  The whole stream
+        is consumed sequentially (legacy behaviour).  Each chunk runs in
+        the model's engine dtype (the dtype it was fitted or saved in),
+        scoped to the calling thread around that chunk only, so the
+        consumer's code between chunks sees its own dtype.  The whole stream
         runs inside one :meth:`_sampling_session`, so per-stream setup
         (e.g. switching models to eval mode) happens once rather than
         per chunk.  ``conditions`` supplies one explicit conditioning
@@ -377,7 +391,7 @@ class Synthesizer:
                     chunk_conditions = conditions[start:start + m]
                 # Unseeded draws come from self.rng (the documented
                 # default), never from NumPy's hidden global state.
-                with deterministic_scope():
+                with deterministic_scope(), self._dtype_scope():
                     chunk = self._sample_chunk(
                         m, rng, conditions=chunk_conditions)
                 yield chunk
@@ -424,10 +438,11 @@ class Synthesizer:
                 chunk_conditions = None
                 if conditions is not None:
                     chunk_conditions = conditions[offset:offset + m]
-                # The guard covers one chunk at a time (not consumer
-                # code between yields): any hidden np.random global-state
-                # draw inside _sample_chunk breaks bit-identity.
-                with deterministic_scope():
+                # The guard and the dtype scope cover one chunk at a
+                # time (not consumer code between yields): any hidden
+                # np.random global-state draw inside _sample_chunk
+                # breaks bit-identity.
+                with deterministic_scope(), self._dtype_scope():
                     chunk = self._sample_chunk(
                         m, rng, conditions=chunk_conditions)
                 yield index, chunk
@@ -485,6 +500,13 @@ class Synthesizer:
     def _sampling_rng(self, seed: Optional[int]) -> np.random.Generator:
         return self.rng if seed is None else np.random.default_rng(seed)
 
+    def _dtype_scope(self):
+        """The model's engine dtype, scoped to the calling thread.
+
+        Entered around each sampling chunk, never across a ``yield``.
+        """
+        return default_dtype(self._dtype)
+
     # ------------------------------------------------------------------
     # Optional capabilities (used by the facade's model selection)
     # ------------------------------------------------------------------
@@ -531,9 +553,10 @@ class Synthesizer:
     def save(self, path: PathLike) -> pathlib.Path:
         """Persist the fitted synthesizer into directory ``path``.
 
-        Layout: ``synthesizer.json`` (method name, constructor params,
-        fitted transformer / structure state) and ``arrays.npz`` (model
-        parameters via :mod:`repro.nn.serialization`).
+        Layout: ``synthesizer.json`` (method name, engine ``dtype``,
+        constructor params, fitted transformer / structure state) and
+        ``arrays.npz`` (model parameters via
+        :mod:`repro.nn.serialization`).
         """
         self._require_fitted()
         if self.method is None:
@@ -547,6 +570,7 @@ class Synthesizer:
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "method": self.method,
+            "dtype": np.dtype(self._dtype).name,
             "state": meta,
         }
         (path / _META_FILE).write_text(json.dumps(document, indent=2))
@@ -559,7 +583,9 @@ class Synthesizer:
 
         Called on the base class it dispatches on the saved method name
         through the registry; called on a subclass it additionally
-        verifies the saved method matches.
+        verifies the saved method matches.  The model is rebuilt, and
+        later sampled, in the saved engine ``dtype``; a save without the
+        field samples in float64.
         """
         path = pathlib.Path(path)
         meta_path = path / _META_FILE
@@ -579,10 +605,15 @@ class Synthesizer:
             raise ConfigError(
                 f"saved synthesizer has method {document['method']!r}, "
                 f"not a {cls.__name__}")
+        dtype = document.get("dtype", "float64")
+        if dtype not in [np.dtype(d).name for d in SUPPORTED_DTYPES]:
+            raise ConfigError(f"unsupported saved engine dtype {dtype!r}")
         arrays = load_state(path / _ARRAYS_FILE)
         state = document["state"]
-        instance = klass(**klass._init_kwargs_from_state(state["params"]))
-        instance._load_state(state, arrays)
+        with default_dtype(dtype):
+            instance = klass(**klass._init_kwargs_from_state(
+                state["params"]))
+            instance._load_state(state, arrays)
         instance._fitted = True
         return instance
 

@@ -29,11 +29,11 @@ def _fold_eval_bn(fc: Linear, bn: BatchNorm1d) -> tuple:
     costs two elementwise passes over the (small) weight matrix and
     removes every full-batch BN temporary from the sampling hot loop.
     The re-associated affine differs from the composed BN chain by
-    rounding only.  It is computed in the wider of the weight dtype and
-    the engine dtype, so a float32-saved model sampled by the float64
-    engine folds in float64 like its composed graph does.
+    rounding only.  It is computed in the engine dtype, which sampling
+    scopes to the model's own (:meth:`repro.api.Synthesizer.sample_iter`),
+    so the fold is the same in every process that samples the model.
     """
-    dtype = np.result_type(fc.weight.data.dtype, get_default_dtype())
+    dtype = get_default_dtype()
     inv = np.asarray(1.0 / np.sqrt(bn.running_var + bn.eps), dtype=dtype)
     mean = np.asarray(bn.running_mean, dtype=dtype)
     scale = bn.gamma.data * inv

@@ -340,8 +340,9 @@ class GANSynthesizer(Synthesizer):
         """One chunk of generator output plus its label conditions.
 
         Must run inside :meth:`_sampling_session` (the generator is
-        assumed to be in eval mode).  Noise and conditions are drawn in
-        the engine dtype, skipping a cast per chunk in float32 mode.
+        assumed to be in eval mode) and the model's dtype scope.  Noise
+        and conditions are drawn in that engine dtype, so a float32
+        model skips a cast per chunk.
         ``conditions`` fixes the conditioning inputs explicitly: label
         codes for a label-conditional config (``None`` draws from the
         training marginal, the legacy behaviour), or a ``(m, cond_dim)``
@@ -400,7 +401,8 @@ class GANSynthesizer(Synthesizer):
         with self._sampling_session():
             while remaining > 0:
                 m = min(batch, remaining)
-                raw, labels = self._generate_raw(m, rng)
+                with self._dtype_scope():
+                    raw, labels = self._generate_raw(m, rng)
                 chunks.append(raw)
                 if labels is not None:
                     self._sampled_labels.append(labels)

@@ -25,17 +25,25 @@ The engine computes in a configurable default dtype:
   (e.g. batched LSTM input projections) that re-associate floating point
   sums and therefore are not bit-identical to the float64 path.
 
-Switch with :func:`set_default_dtype` or scoped via :func:`default_dtype`::
+:func:`set_default_dtype` sets the process-wide default;
+:func:`default_dtype` overrides it for the calling thread only, so
+threads can run models of different dtypes at once::
 
     from repro import nn
     nn.set_default_dtype("float32")      # fast training mode
-    with nn.default_dtype("float64"):    # temporary parity scope
+    with nn.default_dtype("float64"):    # this thread only
         ...
+
+A fitted synthesizer records the dtype it was trained in and samples
+every chunk inside that dtype's scope (see
+:meth:`repro.api.Synthesizer.sample_iter`), whatever the process
+default is.  The grad mode (:func:`no_grad`) is per thread as well.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,27 +59,47 @@ DTYPE = np.float64
 _default_dtype = np.float64
 
 
-def set_default_dtype(dtype: Union[str, np.dtype, type]) -> None:
-    """Set the dtype new tensors are created with (``float32``/``float64``).
+class _ThreadState(threading.local):
+    """Per-thread engine state: the dtype override of a
+    :func:`default_dtype` scope (``None`` outside one) and the grad
+    mode.  Class attributes are the values a new thread starts with."""
 
-    ``float64`` is the parity mode used by the test suite; ``float32`` is
-    the fast training mode and additionally unlocks fast-math rewrites
-    in the LSTM stacks (see module docstring).  Existing tensors,
-    parameters, and optimizer state keep their dtype — switch *before*
-    building models, not mid-training.
-    """
-    global _default_dtype
+    dtype = None
+    grad_enabled = True
+
+
+_thread = _ThreadState()
+
+
+def _resolve_dtype(dtype: Union[str, np.dtype, type]) -> type:
     resolved = np.dtype(dtype).type
     if resolved not in SUPPORTED_DTYPES:
         raise ValueError(
             f"unsupported engine dtype {dtype!r}; expected one of "
             f"{[np.dtype(d).name for d in SUPPORTED_DTYPES]}")
-    _default_dtype = resolved
+    return resolved
+
+
+def set_default_dtype(dtype: Union[str, np.dtype, type]) -> None:
+    """Set the process-wide dtype new tensors are created with
+    (``float32``/``float64``).
+
+    ``float64`` is the parity mode used by the test suite; ``float32`` is
+    the fast training mode and additionally unlocks fast-math rewrites
+    in the LSTM stacks (see module docstring).  Existing tensors,
+    parameters, and optimizer state keep their dtype — switch *before*
+    building models, not mid-training.  A thread inside a
+    :func:`default_dtype` scope keeps the scope's dtype until it exits.
+    """
+    global _default_dtype
+    _default_dtype = _resolve_dtype(dtype)
 
 
 def get_default_dtype() -> type:
-    """The numpy scalar type new tensors are created with."""
-    return _default_dtype
+    """The numpy scalar type new tensors are created with in this
+    thread: its :func:`default_dtype` scope, else the process default."""
+    scoped = _thread.dtype
+    return _default_dtype if scoped is None else scoped
 
 
 def fast_math() -> bool:
@@ -83,47 +111,48 @@ def fast_math() -> bool:
     training and taped forwards.  Eval-mode no-grad sampling does not
     consult this flag: it takes the fused kernels in both dtypes.
     """
-    return _default_dtype is np.float32
+    return get_default_dtype() is np.float32
 
 
 @contextlib.contextmanager
 def default_dtype(dtype: Union[str, np.dtype, type]) -> Iterator[None]:
-    """Context manager scoping :func:`set_default_dtype`."""
-    previous = _default_dtype
-    set_default_dtype(dtype)
+    """Scope the engine dtype for the calling thread only.
+
+    Other threads keep their own scope or the process default, so
+    models of different dtypes can run concurrently.
+    """
+    resolved = _resolve_dtype(dtype)
+    previous = _thread.dtype
+    _thread.dtype = resolved
     try:
         yield
     finally:
-        set_default_dtype(previous)
-
-
-_grad_enabled = True
+        _thread.dtype = previous
 
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
-    """Disable tape recording inside the block.
+    """Disable tape recording inside the block (calling thread only).
 
     Forward values are identical; ops simply skip wiring backward
     closures, so tensors built inside come out detached.  Used for the
     generator forward feeding the discriminator step (immediately
     detached anyway) and for sampling.
     """
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    previous = _thread.grad_enabled
+    _thread.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _thread.grad_enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    return _grad_enabled
+    return _thread.grad_enabled
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
-    return np.asarray(value, dtype=_default_dtype)
+    return np.asarray(value, dtype=get_default_dtype())
 
 
 class ArrayPool:
@@ -346,7 +375,7 @@ class Tensor:
         out.requires_grad = False
         out._backward = None
         out._parents = ()
-        if _grad_enabled:
+        if _thread.grad_enabled:
             for p in parents:
                 if p.requires_grad:
                     out.requires_grad = True

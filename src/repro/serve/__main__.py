@@ -1,12 +1,15 @@
 """``python -m repro.serve MODELS_DIR [--port 8000] [--workers 4]``.
 
 Serves every saved model under ``MODELS_DIR`` over HTTP until
-interrupted.  See :mod:`repro.serve.http` for the endpoint reference.
+interrupted.  SIGTERM stops it like Ctrl-C (SIGINT): the pools are
+closed, their workers exit, and the port is released.  See
+:mod:`repro.serve.http` for the endpoint reference.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 
 from .http import DEFAULT_STREAM_THRESHOLD, SynthesisServer
 
@@ -41,7 +44,8 @@ def main(argv=None) -> int:
                              verbose=args.verbose,
                              degraded=args.degraded)
     print(f"serving models from {args.root!r} at {server.url} "
-          f"({args.workers} workers/model; Ctrl-C to stop)")
+          f"({args.workers} workers/model; Ctrl-C to stop)", flush=True)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -5,10 +5,20 @@ clients want decoded values (category labels, rounded integrals).
 These helpers are pure functions over :class:`~repro.datasets.schema`
 objects so both the HTTP front end and offline exporters share one
 encoding.
+
+A streamed CSV response is encoded where its chunks are generated:
+inside :func:`csv_at_source`, a pool stream has each chunk's rows
+encoded by the process that generated the chunk (a worker, or the
+calling thread of an inline pool) and attached to the chunk by
+:func:`attach_csv`; :func:`csv_bytes` then writes those bytes without
+encoding them again.  A chunk's bytes are a pure function of the chunk,
+so they depend only on ``(seed, index)`` like its rows.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
 import io
 from typing import Dict, Iterable, Iterator, List
@@ -103,6 +113,42 @@ def csv_stream(chunks: Iterable[Table], schema: Schema) -> Iterator[str]:
     yield csv_header(schema)
     for chunk in chunks:
         yield csv_rows(chunk)
+
+
+_AT_SOURCE = contextvars.ContextVar("repro_serve_csv_at_source",
+                                    default=False)
+
+
+@contextlib.contextmanager
+def csv_at_source() -> Iterator[None]:
+    """Pool streams drawn in this context attach each chunk's CSV rows
+    where the chunk is generated (see the module docstring)."""
+    token = _AT_SOURCE.set(True)
+    try:
+        yield
+    finally:
+        _AT_SOURCE.reset(token)
+
+
+def csv_wanted_at_source() -> bool:
+    """True inside :func:`csv_at_source`."""
+    return _AT_SOURCE.get()
+
+
+def attach_csv(table: Table) -> Table:
+    """Encode ``table``'s :func:`csv_rows` as UTF-8 and attach them to
+    it (they travel with the table through a pool's pipes)."""
+    table._csv_utf8 = csv_rows(table).encode("utf-8")
+    return table
+
+
+def csv_bytes(chunks: Iterable[Table], schema: Schema) -> Iterator[bytes]:
+    """:func:`csv_stream` as UTF-8 bytes, writing the rows a chunk
+    carries from :func:`attach_csv` as they are."""
+    yield csv_header(schema).encode("utf-8")
+    for chunk in chunks:
+        data = getattr(chunk, "_csv_utf8", None)
+        yield csv_rows(chunk).encode("utf-8") if data is None else data
 
 
 def database_payload(database) -> Dict:

@@ -32,17 +32,24 @@ connection, no third-party web stack.  Endpoints:
     ``"stream": true`` (or ``n`` past the server's streaming threshold)
     the response is sent with chunked transfer-encoding, one CSV
     fragment per generated chunk, so large draws start flowing before
-    generation finishes.  A response that is not streamed is built in
-    memory, so it holds at most :data:`MAX_BUFFERED_ROWS` rows.  A JSON
-    table request may add ``"trace": true`` to get the request's
-    stitched span breakdown (pool dispatch, per-chunk worker spans)
-    back in the response under ``"trace"``.
+    generation finishes; each fragment is encoded by the process that
+    generated its chunk, and the handler writes its bytes.  A response
+    that is not streamed is built in memory, so it holds at most
+    :data:`MAX_BUFFERED_ROWS` rows.  A JSON table request may add
+    ``"trace": true`` to get the request's stitched span breakdown
+    (pool dispatch, per-chunk worker spans) back in the response under
+    ``"trace"``.
 
 Errors map 1:1 from the serving exception hierarchy: 404 unknown model,
 400 invalid request, 413 body over :data:`MAX_BODY_BYTES` or buffered
 response over :data:`MAX_BUFFERED_ROWS`, 503 over the service's
 in-flight bound or an open circuit (with ``Retry-After``), 504
 deadline, 500 worker failure.
+
+Every connection reads and writes under a :data:`CONNECTION_TIMEOUT`
+socket timeout: a client that stalls mid-request, or idles on a
+keep-alive connection, has its connection closed instead of holding a
+handler thread forever.
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ from typing import Optional, Tuple
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..obs.trace import Trace
 from .encoding import (
-    columns_payload, csv_stream, database_payload, schema_payload,
+    columns_payload, csv_at_source, csv_bytes, database_payload,
+    schema_payload,
 )
 from .errors import (
     BackpressureError, CircuitOpen, ModelNotFound, PoolClosed,
@@ -76,6 +84,10 @@ MAX_BODY_BYTES = 1 << 20
 #: Most rows in a response that is not streamed (about 45 MB of JSON
 #: at 15 columns); larger draws must stream as CSV.
 MAX_BUFFERED_ROWS = 1 << 18
+#: Seconds a connection may block in one socket read or write (a
+#: stalled request, an idle keep-alive connection, a client that stops
+#: reading) before the handler closes it.
+CONNECTION_TIMEOUT = 60.0
 
 
 class BodyTooLarge(ValueError):
@@ -122,6 +134,11 @@ class _Handler(BaseHTTPRequestHandler):
     # ACK (~40 ms) before its body leaves.
     disable_nagle_algorithm = True
 
+    @property
+    def timeout(self) -> float:
+        """Per-connection socket timeout (read by ``setup``)."""
+        return CONNECTION_TIMEOUT
+
     # The ThreadingHTTPServer subclass carries the service + knobs.
     @property
     def service(self) -> SynthesisService:
@@ -163,7 +180,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_chunked(self, fragments, content_type: str,
                       trailer_headers=None) -> None:
-        """Chunked transfer-encoding: forward fragments as they come."""
+        """Chunked transfer-encoding: forward byte fragments as they
+        come."""
         self.send_response(200)
         self.send_header("Content-Type", content_type)
         self.send_header("Transfer-Encoding", "chunked")
@@ -172,8 +190,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(key, value)
         self.end_headers()
         try:
-            for fragment in fragments:
-                data = fragment.encode("utf-8")
+            for data in fragments:
                 if not data:
                     continue
                 self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
@@ -253,6 +270,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._serve_table(name, body)
         except _StreamAborted:
             pass  # response already truncated; never double-respond
+        except TimeoutError:
+            raise  # a stalled client: handle_one_request closes it
         except Exception as exc:
             self._send_error_json(exc)
 
@@ -283,24 +302,24 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{MAX_BUFFERED_ROWS} rows, got n={n}; request "
                 f"\"format\": \"csv\", \"stream\": true for larger draws")
         if stream:
-            chunks, used_seed = self.service.sample_iter(
-                name, n, batch=batch, seed=seed)
-            # The first chunk carries the schema; pull it eagerly so
-            # the CSV header (and any generation error) precedes the
-            # chunked response instead of corrupting it midway.
-            iterator = iter(chunks)
-            first = next(iterator)
-            self._send_chunked(
-                csv_stream(_chain_first(first, iterator), first.schema),
-                "text/csv", {"X-Repro-Seed": str(used_seed)})
+            with csv_at_source():
+                chunks, used_seed = self.service.sample_iter(
+                    name, n, batch=batch, seed=seed)
+                # The first chunk carries the schema; pull it eagerly so
+                # the CSV header (and any generation error) precedes the
+                # chunked response instead of corrupting it midway.
+                iterator = iter(chunks)
+                first = next(iterator)
+                self._send_chunked(
+                    csv_bytes(_chain_first(first, iterator), first.schema),
+                    "text/csv", {"X-Repro-Seed": str(used_seed)})
             return
         trace = Trace("http.sample", tags={"model": name}) if traced \
             else None
         table, used_seed = self.service.sample(name, n, batch=batch,
                                                seed=seed, trace=trace)
         if out_format == "csv":
-            payload = (csv_stream([table], table.schema))
-            data = "".join(payload).encode("utf-8")
+            data = b"".join(csv_bytes([table], table.schema))
             self.send_response(200)
             self.send_header("Content-Type", "text/csv")
             self.send_header("Content-Length", str(len(data)))

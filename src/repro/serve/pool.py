@@ -58,6 +58,18 @@ OpenBLAS thread count to ``max(1, usable_cpus // workers)`` at boot
 (never raising it, so ``OPENBLAS_NUM_THREADS`` still caps lower) and
 reports the count in effect; :meth:`WorkerPool.status` shows it per
 slot.  The parent process keeps the library default.
+
+Engine dtype: a worker does not pin one.  Every model samples in the
+dtype it was saved in (:meth:`repro.api.Synthesizer.load`), in a worker,
+inline, or in the fitting process alike, so one pool's output does not
+depend on the parent's default dtype.
+
+Encoding: a streamed request drawn inside
+:func:`repro.serve.encoding.csv_at_source` (the HTTP layer's streamed
+CSV responses) has each chunk's CSV rows encoded by the process that
+generated the chunk, inside its shipped chunk span; the chunk still
+arrives as the same :class:`~repro.datasets.schema.Table`, carrying the
+bytes (:func:`repro.serve.encoding.attach_csv`).
 """
 
 from __future__ import annotations
@@ -70,6 +82,7 @@ import itertools
 import multiprocessing as mp
 import os
 import pathlib
+import signal
 import threading
 import traceback
 from multiprocessing import connection as mp_connection
@@ -83,6 +96,7 @@ from ..check.lockorder import make_condition, make_lock
 from ..datasets.schema import Table
 from ..obs import clock as _obs_clock
 from ..obs.metrics import MetricsRegistry
+from . import encoding
 from .circuit import RespawnBackoff
 from .errors import PoolClosed, RequestTimeout, ServingError, WorkerError
 from .faults import plan_from_env
@@ -182,28 +196,30 @@ def _is_cancelled(cancel_ring, req_id: int) -> bool:
 
 
 def _worker_main(path: str, worker_id: int, incarnation: int,
-                 dtype_name: str, blas_budget: int, task_r, result_w,
-                 cancel_ring) -> None:
+                 blas_budget: int, task_r, result_w, cancel_ring) -> None:
     """Worker process body: load once, then serve tasks until sentinel.
 
-    Runs in the child.  The engine dtype is pinned to the parent's
-    before the load so a ``spawn``-started worker decodes float32
-    models with float32 noise exactly like a forked one, and the
-    process-global tape pool inherited over ``fork`` is dropped
-    (:func:`repro.nn.reset_worker_state`) so copy-on-write pages sized
-    for the parent's training workload are not dirtied per worker.
-    OpenBLAS is then capped at ``blas_budget`` threads, and the ready
-    message reports the count in effect.
+    Runs in the child.  SIGTERM gets its default action back (a forked
+    worker inherits the server's handler), so ``terminate()`` ends a
+    worker at once.  The process-global tape pool inherited over
+    ``fork`` is dropped (:func:`repro.nn.reset_worker_state`) so
+    copy-on-write pages sized for the parent's training workload are
+    not dirtied per worker.  No engine dtype is pinned: the loaded
+    model samples in the dtype it was saved in.  OpenBLAS is then
+    capped at ``blas_budget`` threads, and the ready message reports
+    the count in effect.
 
     Every message leads with this worker's slot id.  A claim ack is
     sent *before* generation starts, so the parent's ledger of what
     this process owes is confirmed on the same ordered pipe that later
-    carries the chunks.
+    carries the chunks.  A chunk of a task flagged ``encode`` has its
+    CSV rows attached before its span is stamped, so the encode counts
+    inside the chunk's shipped span.
     """
     try:
-        from ..nn import reset_worker_state, set_default_dtype
+        from ..nn import reset_worker_state
 
-        set_default_dtype(dtype_name)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         reset_worker_state()
         threads = _cap_blas_threads(blas_budget)
         plan = plan_from_env()
@@ -238,7 +254,7 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
                 plan.fire("task", worker=worker_id,
                           incarnation=incarnation, count=tasks_seen)
             if kind == "chunks":
-                _, _, n, batch, seed, indices, traced = task
+                _, _, n, batch, seed, indices, traced, encode = task
                 result_w.send(("claim", worker_id, req_id,
                                list(indices)))
                 chunk_started = _obs_clock.perf()
@@ -251,6 +267,8 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
                         plan.fire("chunk", worker=worker_id,
                                   incarnation=incarnation, index=index,
                                   produced=produced)
+                    if encode:
+                        encoding.attach_csv(table)
                     span = None
                     if traced:
                         # Plain dict, not a Span: the pipe carries data,
@@ -354,14 +372,15 @@ class _Pending:
     def task_for(self, req_id: int, indices: List[int]) -> tuple:
         """Rebuild the pipe task covering ``indices`` of this request.
 
-        The rebuilt task keeps the ``traced`` flag, so chunks
-        re-executed after a worker death ship spans exactly like the
-        first attempt (the parent stitches them as retry spans).
+        The rebuilt task keeps the ``traced`` and ``encode`` flags, so
+        chunks re-executed after a worker death ship spans and bytes
+        exactly like the first attempt (the parent stitches them as
+        retry spans).
         """
         if self.kind == "chunks":
-            n, batch, seed = self.spec
+            n, batch, seed, encode = self.spec
             return ("chunks", req_id, n, batch, seed, sorted(indices),
-                    self.trace is not None)
+                    self.trace is not None, encode)
         scale, sizes, batch, seed = self.spec
         return ("database", req_id, scale, sizes, batch, seed)
 
@@ -562,11 +581,8 @@ class WorkerPool:
             raise ServingError(
                 "inline_model is only meaningful with workers=0 "
                 "(worker processes load their own copies)")
-        from ..nn import get_default_dtype
-
         ctx = _mp_context()
         self._ctx = ctx
-        self._dtype_name = np.dtype(get_default_dtype()).name
         self._blas_budget = max(1, usable_cpus() // workers)
         # Slot 0 is the write cursor; entries hold recently cancelled
         # request ids (-1 = empty).  Shared with every worker.
@@ -602,8 +618,7 @@ class WorkerPool:
         process = self._ctx.Process(
             target=_worker_main,
             args=(str(self.path), slot.slot, slot.incarnation,
-                  self._dtype_name, self._blas_budget, task_r, result_w,
-                  self._cancel_ring),
+                  self._blas_budget, task_r, result_w, self._cancel_ring),
             daemon=True,
             name=(f"repro-serve-{self.path.name}-{slot.slot}"
                   f".{slot.incarnation}"))
@@ -920,12 +935,14 @@ class WorkerPool:
             with self._fallback_lock:
                 model = self._fallback()
                 if kind == "chunks":
-                    _, _, n, batch, seed, indices, traced = task
+                    _, _, n, batch, seed, indices, traced, encode = task
                     chunk_started = _obs_clock.perf()
                     for index, chunk in model.sample_chunks(
                             n, batch=batch, seed=seed, indices=indices):
                         if self._closed:
                             return
+                        if encode:
+                            encoding.attach_csv(chunk)
                         if traced:
                             done = _obs_clock.perf()
                             pending.stitch(index, {
@@ -1368,7 +1385,9 @@ class WorkerPool:
         dispatched in a sliding window ahead of the consumer, so a slow
         reader (e.g. an HTTP client on a thin pipe) bounds the chunks
         buffered in the parent instead of letting the workers race
-        ahead and re-materialize the whole table in memory.
+        ahead and re-materialize the whole table in memory.  Called
+        inside :func:`repro.serve.encoding.csv_at_source`, each chunk
+        also carries its CSV rows, encoded where it was generated.
         """
         return self._iter_shards(n, batch, seed, timeout, windowed=True,
                                  trace=trace)
@@ -1379,17 +1398,19 @@ class WorkerPool:
         n = _count("n", n, minimum=1)
         batch, plan = self._table_plan(n, batch)
         seed = fresh_seed() if seed is None else seed
+        encode = windowed and encoding.csv_wanted_at_source()
         if self._inline_model is not None:
             with self._lock:
                 if self._closed:
                     raise PoolClosed(
                         f"pool for {self.path.name} is closed")
-            return self._iter_inline(n, batch, seed, plan, timeout, trace)
+            return self._iter_inline(n, batch, seed, plan, timeout, trace,
+                                     encode)
         return self._stream_from_workers(n, batch, seed, plan, timeout,
-                                         windowed, trace)
+                                         windowed, trace, encode)
 
-    def _iter_inline(self, n, batch, seed, plan, timeout,
-                     trace=None) -> Iterator[Table]:
+    def _iter_inline(self, n, batch, seed, plan, timeout, trace,
+                     encode: bool) -> Iterator[Table]:
         # Best-effort deadline: generation runs on the caller's thread,
         # so the check lands between chunks (a single chunk cannot be
         # preempted) — but a runaway request still stops at a chunk
@@ -1404,6 +1425,8 @@ class WorkerPool:
             if deadline is not None and _obs_clock.monotonic() > deadline:
                 raise RequestTimeout(
                     "inline request passed its deadline mid-stream")
+            if encode:
+                encoding.attach_csv(chunk)
             if trace is not None:
                 done = _obs_clock.perf()
                 trace.add({"span_id": f"chunk-{index}", "name": "chunk",
@@ -1414,11 +1437,12 @@ class WorkerPool:
             yield chunk
 
     def _stream_from_workers(self, n, batch, seed, plan, timeout,
-                             windowed: bool,
-                             trace=None) -> Iterator[Table]:
+                             windowed: bool, trace,
+                             encode: bool) -> Iterator[Table]:
         deadline = self._deadline(timeout)
         req_id, pending = self._begin(expected=len(plan), kind="chunks",
-                                      spec=(n, batch, seed), trace=trace)
+                                      spec=(n, batch, seed, encode),
+                                      trace=trace)
         try:
             if not windowed:
                 # Bulk consumption (sample()): strided index sets —

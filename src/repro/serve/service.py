@@ -552,6 +552,8 @@ class SynthesisService:
         collected, whether or not it yielded a chunk.
         """
         n = _count("n", n, minimum=1)
+        if batch is not None:
+            _count("batch", batch, minimum=1)
         self._m_requests.inc(model=name, endpoint="sample_iter")
         started = _obs_clock.perf()
         if seed is None:

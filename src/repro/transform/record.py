@@ -17,7 +17,9 @@ simple-normalized columns, one padded gather+argmax over all one-hot /
 GMM-mode blocks, ...) instead of per-attribute numpy calls re-issued
 for every chunk of a streaming ``sample_iter``.  The compiled path is
 bit-identical to the per-block reference (``inverse(...,
-vectorized=False)``).
+vectorized=False)``).  It reads float32 samples (a float32 model's
+output) without upcasting the whole matrix: see
+:meth:`CompiledInverse.__call__`.
 """
 
 from __future__ import annotations
@@ -146,11 +148,18 @@ class CompiledInverse:
         return names, vcols, argmax[1], means, stds, integral
 
     def __call__(self, samples: np.ndarray) -> Dict[str, np.ndarray]:
-        """Decode ``(n, output_dim)`` samples into attribute columns."""
+        """Decode ``(n, output_dim)`` samples into attribute columns.
+
+        ``samples`` is float32 or float64.  The argmax gathers read it
+        in its own dtype (widening is exact and keeps the order, so the
+        same column wins); the value columns are cast to float64 before
+        any arithmetic.  Decoded columns therefore equal those of the
+        float64 upcast bit for bit.
+        """
         columns: Dict[str, np.ndarray] = {}
         if self._simple is not None:
             names, cols, mins, ranges, integral = self._simple
-            clipped = np.clip(samples[:, cols], -1.0, 1.0)
+            clipped = np.clip(_wide(samples[:, cols]), -1.0, 1.0)
             values = mins + (clipped + 1.0) / 2.0 * ranges
             if integral.any():
                 values[:, integral] = np.rint(values[:, integral])
@@ -158,7 +167,7 @@ class CompiledInverse:
                 columns[name] = values[:, i]
         if self._rounded is not None:
             names, cols, scales, domains, tanh = self._rounded
-            raw = samples[:, cols]
+            raw = _wide(samples[:, cols])
             unit = np.where(tanh, (np.clip(raw, -1.0, 1.0) + 1.0) / 2.0, raw)
             codes = np.rint(unit * scales).astype(np.int64)
             codes = np.clip(codes, 0, domains - 1)
@@ -173,7 +182,7 @@ class CompiledInverse:
             names, vcols, idx, means, stds, integral = self._gmm
             modes = samples[:, idx].argmax(axis=2)
             rows = np.arange(len(names))[None, :]
-            v_gmm = np.clip(samples[:, vcols], -1.0, 1.0)
+            v_gmm = np.clip(_wide(samples[:, vcols]), -1.0, 1.0)
             values = (v_gmm * 2.0 * stds[rows, modes]
                       + means[rows, modes])
             if integral.any():
@@ -181,6 +190,18 @@ class CompiledInverse:
             for i, name in enumerate(names):
                 columns[name] = values[:, i]
         return columns
+
+
+def _wide(values: np.ndarray) -> np.ndarray:
+    """``values`` as float64 (no copy when it already is)."""
+    return values.astype(np.float64, copy=False)
+
+
+def _as_samples(samples) -> np.ndarray:
+    """Generator output for an inverse: float32 stays as it is (the
+    compiled inverse reads it), anything else becomes float64."""
+    samples = np.asarray(samples)
+    return samples if samples.dtype == np.float32 else _wide(samples)
 
 
 def _make_categorical(encoding: str) -> AttributeTransformer:
@@ -348,11 +369,12 @@ class RecordTransformer:
         conditional synthesis).  ``vectorized=True`` (the default)
         decodes through the precomputed :class:`CompiledInverse` —
         whole-matrix ops, bit-identical to the per-block reference path
-        selected by ``vectorized=False``.
+        selected by ``vectorized=False``, for float32 and float64
+        samples alike.
         """
         if self.schema is None:
             raise TransformError("transformer is not fitted")
-        samples = np.asarray(samples, dtype=np.float64)
+        samples = _as_samples(samples)
         if samples.ndim != 2 or samples.shape[1] != self.output_dim:
             raise TransformError(
                 f"expected samples of width {self.output_dim}, "
@@ -363,6 +385,7 @@ class RecordTransformer:
                                                  self.transformers)
             columns = self._compiled(samples)
         else:
+            samples = _wide(samples)
             columns = {}
             for block in self.blocks:
                 transformer = self.transformers[block.name]
@@ -553,7 +576,7 @@ class MatrixTransformer:
                 vectorized: bool = True) -> Table:
         if self.schema is None:
             raise TransformError("transformer is not fitted")
-        samples = np.asarray(samples, dtype=np.float64)
+        samples = _as_samples(samples)
         if samples.ndim != 4 or samples.shape[2] != self.side:
             raise TransformError(
                 f"expected samples (n, 1, {self.side}, {self.side}), "
@@ -565,6 +588,7 @@ class MatrixTransformer:
                                                  self.transformers)
             columns = self._compiled(flat)
         else:
+            flat = _wide(flat)
             columns = {}
             for i, name in enumerate(self.attribute_names):
                 columns[name] = self.transformers[name].inverse(

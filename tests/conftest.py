@@ -75,3 +75,44 @@ def numeric_gradient(func, x, eps=1e-6):
         grad[idx] = (f_plus - f_minus) / (2 * eps)
         it.iternext()
     return grad
+
+
+#: One seeded draw per saved model of :func:`dtype_model_store`: three
+#: chunks, so the draw spans pool workers.
+DTYPE_DRAW = dict(n=300, batch=128, seed=11)
+
+
+@pytest.fixture(scope="session")
+def dtype_model_store(tmp_path_factory):
+    """GAN (mlp, conditional lstm, cnn) and VAE models, each fitted and
+    saved under float32 and under float64, with the fitting process's
+    own :data:`DTYPE_DRAW` of each.
+
+    Returns ``(root, {name: draw})``; model ``name`` is saved at
+    ``root / name``.
+    """
+    from repro import nn
+    from repro.api import make_synthesizer
+    from repro.core import DesignConfig
+
+    root = tmp_path_factory.mktemp("dtype-models")
+    table = make_mixed_table(n=160, seed=3)
+    tiny = dict(seed=0, epochs=1, iterations_per_epoch=3)
+    families = {
+        "gan-mlp": ("gan", dict(config=DesignConfig())),
+        "gan-lstm": ("gan", dict(config=DesignConfig(generator="lstm",
+                                                     conditional=True))),
+        "gan-cnn": ("gan", dict(config=DesignConfig(
+            generator="cnn", categorical_encoding="ordinal",
+            numerical_normalization="simple"))),
+        "vae": ("vae", {}),
+    }
+    draws = {}
+    for dtype in ("float32", "float64"):
+        with nn.default_dtype(dtype):
+            for family, (method, kwargs) in families.items():
+                name = f"{family}-{dtype}"
+                synth = make_synthesizer(method, **tiny, **kwargs).fit(table)
+                synth.save(root / name)
+                draws[name] = synth.sample(**DTYPE_DRAW)
+    return root, draws

@@ -263,6 +263,55 @@ class TestDtypeConfig:
         assert z.requires_grad
         assert nn.is_grad_enabled()
 
+    def test_scope_and_grad_mode_are_per_thread(self):
+        """A dtype scope and no_grad apply to the thread that entered
+        them; other threads keep the process default and grad mode."""
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def scoped():
+            with nn.default_dtype("float32"), nn.no_grad():
+                entered.set()
+                release.wait(10)
+                seen["scoped"] = (nn.get_default_dtype(),
+                                  nn.is_grad_enabled())
+            seen["after"] = (nn.get_default_dtype(), nn.is_grad_enabled())
+
+        thread = threading.Thread(target=scoped)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            assert nn.get_default_dtype() is np.float64
+            assert nn.is_grad_enabled()
+            assert not nn.fast_math()
+            assert Tensor([1.0]).data.dtype == np.float64
+        finally:
+            release.set()
+            thread.join(10)
+        assert seen == {"scoped": (np.float32, False),
+                        "after": (np.float64, True)}
+
+    def test_set_default_dtype_is_process_wide(self):
+        """set_default_dtype reaches threads outside a scope; a scope
+        keeps its dtype in its own thread."""
+        import threading
+
+        seen = []
+        try:
+            with nn.default_dtype("float64"):
+                nn.set_default_dtype("float32")
+                assert nn.get_default_dtype() is np.float64
+                thread = threading.Thread(
+                    target=lambda: seen.append(nn.get_default_dtype()))
+                thread.start()
+                thread.join(10)
+            assert nn.get_default_dtype() is np.float32
+        finally:
+            nn.set_default_dtype("float64")
+        assert seen == [np.float32]
+
 
 class TestBatchedProjectionSplit:
     def test_sequence_lstm_fast_path_gradcheck(self, rng):

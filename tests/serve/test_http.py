@@ -333,3 +333,115 @@ class TestOneTelemetrySource:
             == 3
         assert health["rows"] == total("repro_serve_rows_total") == 35
         assert health["inflight"] == total("repro_serve_inflight") == 0
+
+
+class TestStreamedBatchValidation:
+    def test_bad_batch_refused_before_admission(self, model_root):
+        """A streamed request validates ``batch`` as a buffered one
+        does: before it is admitted, boots a pool or counts a series."""
+        service = SynthesisService(model_root, workers=0,
+                                   metrics=MetricsRegistry())
+        with SynthesisServer(service).start() as srv:
+            code, payload = post_error(srv, "/models/adult-pb/sample",
+                                       {"n": 40, "batch": 0, "seed": 1,
+                                        "format": "csv", "stream": True})
+            assert code == 400
+            assert "batch" in payload["detail"]
+            assert service.active_pools() == {}
+            scrape = parse_prometheus(get(srv, "/metrics")[2].decode())
+        service.close()
+        assert not scrape.get("repro_serve_requests_total")
+        assert not scrape.get("repro_serve_errors_total")
+
+
+def read_until_closed(sock) -> bytes:
+    """Everything the peer sends until it closes the connection (the
+    socket's own timeout fails the read if it never does)."""
+    data = b""
+    while True:
+        part = sock.recv(65536)
+        if not part:
+            return data
+        data += part
+
+
+class TestConnectionTimeout:
+    def test_stalled_and_idle_connections_are_closed(self, model_root,
+                                                     monkeypatch):
+        import socket
+        import time
+
+        from repro.serve import http
+
+        monkeypatch.setattr(http, "CONNECTION_TIMEOUT", 0.5)
+        service = SynthesisService(model_root, workers=0,
+                                   metrics=MetricsRegistry())
+        with SynthesisServer(service).start() as srv:
+            host, port = srv.address
+            started = time.perf_counter()
+            with socket.create_connection((host, port), timeout=10) as half, \
+                    socket.create_connection((host, port),
+                                             timeout=10) as idle:
+                half.sendall(b"POST /models/adult-pb/sa")
+                idle.sendall(f"GET /healthz HTTP/1.1\r\nHost: {host}"
+                             f"\r\n\r\n".encode("ascii"))
+                # Another client is served while both connections stall.
+                status, _, _ = get(srv, "/healthz")
+                assert status == 200
+                assert read_until_closed(half) == b""
+                response = read_until_closed(idle)
+            assert response.startswith(b"HTTP/1.1 200")
+            assert time.perf_counter() - started < 8
+            status, _, _ = get(srv, "/healthz")
+            assert status == 200
+        service.close()
+
+
+class TestSigterm:
+    def test_sigterm_stops_the_server_like_ctrl_c(self, model_root):
+        """SIGTERM closes the pools, the workers exit, and the port can
+        be bound again at once (a live worker would still hold it)."""
+        import os
+        import re
+        import signal
+        import socket
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        # Its own process group, so whatever a failed shutdown leaves
+        # behind is killed below.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", str(model_root),
+             "--port", "0", "--workers", "2"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            text=True, start_new_session=True)
+        try:
+            line = proc.stdout.readline()
+            port = int(re.search(r"http://[\d.]+:(\d+)", line).group(1))
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/models/adult-pb/sample",
+                data=json.dumps({"n": 20, "seed": 1}).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST")
+            with urllib.request.urlopen(request, timeout=60) as resp:
+                assert resp.status == 200
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            with socket.socket() as sock:
+                # As a restarted server binds (SO_REUSEADDR): only a
+                # socket still listening on the port refuses it.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.bind(("127.0.0.1", port))
+                sock.listen()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the whole group is gone, as it should be

@@ -6,8 +6,12 @@ dtypes — for every encoding/normalization combination, after state
 round trips, and for the matrix (CNN) sample form.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.datasets.schema import (
     Attribute, CATEGORICAL, NUMERICAL, Schema, Table,
@@ -160,3 +164,71 @@ class TestCompiledInverseInternals:
         with pytest.raises(TransformError, match="unknown inverse kind"):
             CompiledInverse(transformer.blocks[:1],
                             {transformer.blocks[0].name: Weird()})
+
+
+def assert_bits_identical(a, b):
+    """Same columns, dtypes and bit patterns (NaN included)."""
+    assert a.schema.names == b.schema.names
+    for name in a.schema.names:
+        ca, cb = a.column(name), b.column(name)
+        assert ca.dtype == cb.dtype, name
+        assert ca.tobytes() == cb.tobytes(), name
+
+
+def _fitted_transformers():
+    table = make_mixed_table(n=120, seed=6)
+    fitted = [RecordTransformer(categorical_encoding=encoding,
+                                numerical_normalization=normalization,
+                                rng=np.random.default_rng(1)).fit(table)
+              for encoding in ("onehot", "ordinal")
+              for normalization in ("gmm", "simple")]
+    return fitted + [MatrixTransformer().fit(table)]
+
+
+_FITTED = _fitted_transformers()
+
+#: Planted values: a few repeated ones (argmax ties), the clip bounds,
+#: +-inf, NaN and any other float32.
+_PLANTED = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 3.0,
+                     float("inf"), float("-inf"), float("nan")]),
+    st.floats(width=32))
+
+
+@st.composite
+def _float32_case(draw):
+    """A fitted transformer and a float32 sample matrix for it: seeded
+    generator-like values with planted ties, infinities and NaNs."""
+    index = draw(st.integers(0, len(_FITTED) - 1))
+    transformer = _FITTED[index]
+    rows = draw(st.integers(1, 12))
+    if isinstance(transformer, MatrixTransformer):
+        shape = (rows, 1, transformer.side, transformer.side)
+    else:
+        shape = (rows, transformer.output_dim)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    base = np.random.default_rng(seed).uniform(-1.5, 1.5, shape)
+    planted = draw(arrays(np.float32, shape, elements=_PLANTED))
+    mask = draw(arrays(np.bool_, shape))
+    return transformer, np.where(mask, planted, base.astype(np.float32))
+
+
+class TestFloat32Inverse:
+    """A float32 model's samples are decoded without upcasting the
+    whole matrix, and decode exactly as their float64 upcast does."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_float32_case())
+    def test_float32_samples_decode_like_their_upcast(self, case):
+        transformer, samples = case
+        upcast = samples.astype(np.float64)
+        with warnings.catch_warnings():
+            # NaN and inf codes hit numpy's invalid-cast warning on
+            # every path alike; the decoded codes are clipped after.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fast = transformer.inverse(samples)
+            wide = transformer.inverse(upcast)
+            reference = transformer.inverse(samples, vectorized=False)
+        assert_bits_identical(fast, wide)
+        assert_bits_identical(fast, reference)
