@@ -57,9 +57,9 @@ import numpy as np
 
 from repro.nn import get_default_dtype, set_default_dtype
 from repro.serve.pool import blas_threads, usable_cpus
+from repro.api import SynthesisResult
 from repro.core.design_space import DesignConfig
 from repro.core.experiment import ExperimentContext
-from repro.core.pipeline import SynthesisRun
 from repro.datasets.schema import Table
 from repro.report import format_series, format_table, print_report
 
@@ -78,7 +78,7 @@ _BENCH_DTYPE = os.environ.get("REPRO_BENCH_DTYPE", "float32")
 set_default_dtype(_BENCH_DTYPE)
 
 _CONTEXTS: Dict[tuple, ExperimentContext] = {}
-_GAN_RUNS: Dict[tuple, SynthesisRun] = {}
+_GAN_RUNS: Dict[tuple, SynthesisResult] = {}
 _TABLES: Dict[tuple, Table] = {}
 
 
@@ -93,7 +93,7 @@ def context(dataset: str, seed: int = 0, **dataset_kwargs
 
 
 def gan_run(dataset: str, config: Optional[DesignConfig] = None,
-            seed: int = 0, **dataset_kwargs) -> SynthesisRun:
+            seed: int = 0, **dataset_kwargs) -> SynthesisResult:
     """Memoized GAN synthesis run (training + snapshot selection)."""
     config = config if config is not None else DesignConfig()
     key = ("gan", dataset, config.describe(), config.lr_g, config.hidden_dim,
@@ -107,7 +107,7 @@ def gan_run(dataset: str, config: Optional[DesignConfig] = None,
 
 def gan_synthetic(dataset: str, config: Optional[DesignConfig] = None,
                   seed: int = 0, **dataset_kwargs) -> Table:
-    return gan_run(dataset, config, seed=seed, **dataset_kwargs).synthetic
+    return gan_run(dataset, config, seed=seed, **dataset_kwargs).table
 
 
 def vae_synthetic(dataset: str, seed: int = 0, **dataset_kwargs) -> Table:

@@ -63,8 +63,7 @@ Serving (``repro.serve``): point the serving layer at a directory of
 saved models and synthetic data becomes an HTTP service — model store
 with LRU caching, a multiprocessing worker pool per model (seeded
 requests shard across workers **bit-identically** to the local call),
-micro-batching for small concurrent requests, streaming CSV for large
-draws::
+streaming CSV for large draws::
 
     synth.save("models/adult-gan")
     from repro.serve import SynthesisServer, WorkerPool
@@ -117,8 +116,9 @@ leak/double-donation detection, lock-order recording over the serving
 stack, and a guard that raises on any hidden global-RNG draw inside
 seeded sampling.  See the README's "Correctness tooling" section.
 
-Legacy entry points (``GANSynthesizer(config).fit(...)``,
-``repro.core.run_gan_synthesis``) remain importable as thin shims.
+The family classes stay importable for direct use
+(``GANSynthesizer(config).fit(...)``); synthesis with validation-based
+snapshot selection has one entry point, :func:`repro.synthesize`.
 """
 
 import os as _os

@@ -356,12 +356,15 @@ class Synthesizer:
         is generated from the keyed substream ``(seed, "chunk", i)``, so
         the stream for a given ``(n, batch, seed)`` is bit-identical no
         matter which process — or how many :mod:`repro.serve` workers —
-        computes its chunks.  With ``seed=None`` the shared training RNG
-        is consumed sequentially (legacy behaviour).  Each chunk runs in
-        the model's engine dtype (the dtype it was fitted or saved in),
-        scoped to the calling thread around that chunk only, so the
-        consumer's code between chunks sees its own dtype.  The whole stream
-        runs inside one :meth:`_sampling_session`, so per-stream setup
+        computes its chunks.  With ``seed=None`` the stream seed is one
+        draw from the synthesizer's own generator
+        (``int(self.rng.integers(0, 2**63))``, taken at the call), so an
+        unseeded stream is the seeded stream of that seed and two
+        unseeded calls differ.  Each chunk runs in the model's engine
+        dtype (the dtype it was fitted or saved in), scoped to the
+        calling thread around that chunk only, so the consumer's code
+        between chunks sees its own dtype.  The whole stream runs
+        inside one :meth:`_sampling_session`, so per-stream setup
         (e.g. switching models to eval mode) happens once rather than
         per chunk.  ``conditions`` supplies one explicit conditioning
         row per requested record (label codes or a context matrix,
@@ -372,30 +375,10 @@ class Synthesizer:
         batch = batch if batch is not None else self.default_sample_batch
         batch = _count("batch", batch, minimum=1)
         conditions = self._check_conditions(conditions, n, "sample_iter")
-        if seed is not None:
-            return (chunk for _, chunk in self._iter_chunks(
-                chunk_plan(n, batch), seed, conditions))
-        return self._legacy_stream(n, batch, conditions)
-
-    def _legacy_stream(self, n: int, batch: int,
-                       conditions) -> Iterator[Table]:
-        """Unseeded streaming: consume the shared training RNG in order."""
-        rng = self.rng
-        remaining = n
-        with self._sampling_session():
-            while remaining > 0:
-                m = min(batch, remaining)
-                chunk_conditions = None
-                if conditions is not None:
-                    start = n - remaining
-                    chunk_conditions = conditions[start:start + m]
-                # Unseeded draws come from self.rng (the documented
-                # default), never from NumPy's hidden global state.
-                with deterministic_scope(), self._dtype_scope():
-                    chunk = self._sample_chunk(
-                        m, rng, conditions=chunk_conditions)
-                yield chunk
-                remaining -= m
+        if seed is None:
+            seed = int(self.rng.integers(0, 2 ** 63))
+        return (chunk for _, chunk in self._iter_chunks(
+            chunk_plan(n, batch), seed, conditions))
 
     def sample_chunks(self, n: int, batch: Optional[int] = None,
                       seed: Optional[int] = None,
@@ -474,20 +457,17 @@ class Synthesizer:
         """Generate a synthetic table of ``n`` records.
 
         Passing ``seed`` makes repeated calls after the same ``fit``
-        return identical tables (reproducible sampling).  ``conditions``
-        fixes the per-row conditioning inputs instead of drawing them
-        from the training marginal (see :meth:`sample_iter`).
+        return identical tables (reproducible sampling); without it the
+        draw is the seeded draw of a seed taken from ``self.rng`` (see
+        :meth:`sample_iter`).  ``conditions`` fixes the per-row
+        conditioning inputs instead of drawing them from the training
+        marginal.
         """
         self._require_fitted()
         n = _count("n", n, minimum=1)
         chunks = list(self.sample_iter(n, batch=batch, seed=seed,
                                        conditions=conditions))
-        if len(chunks) == 1:
-            return chunks[0]
-        schema = chunks[0].schema
-        columns = {name: np.concatenate([c.columns[name] for c in chunks])
-                   for name in schema.names}
-        return Table(schema, columns)
+        return chunks[0].concat_rows(*chunks[1:])
 
     def fit_sample(self, table: Table, n: Optional[int] = None,
                    callbacks=None, batch: Optional[int] = None,
@@ -496,9 +476,6 @@ class Synthesizer:
         self.fit(table, callbacks=callbacks)
         return self.sample(n if n is not None else len(table),
                            batch=batch, seed=seed)
-
-    def _sampling_rng(self, seed: Optional[int]) -> np.random.Generator:
-        return self.rng if seed is None else np.random.default_rng(seed)
 
     def _dtype_scope(self):
         """The model's engine dtype, scoped to the calling thread.

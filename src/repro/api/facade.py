@@ -1,10 +1,12 @@
 """One-call synthesis facade: ``repro.synthesize(table, method=...)``.
 
-Subsumes the legacy GAN-only pipeline (``run_gan_synthesis``) in a
-method-generic way: any registered family is constructed by name,
-fitted, optionally snapshot-selected against a validation table, and
-returned as a :class:`~repro.api.result.SynthesisResult` carrying the
-synthetic table, the fitted synthesizer, and full provenance.
+The one entry point for synthesis with model selection, for every
+family: any registered family is constructed by name, fitted,
+optionally snapshot-selected against a validation table (paper §6.2),
+and returned as a :class:`~repro.api.result.SynthesisResult` carrying
+the synthetic table, the fitted synthesizer, and full provenance.  The
+experiment runner (:mod:`repro.core.experiment`) and the
+hyper-parameter search (:mod:`repro.core.model_selection`) call it.
 """
 
 from __future__ import annotations

@@ -42,11 +42,6 @@ class SynthesisResult:
     provenance: Dict[str, Any] = field(default_factory=dict)
 
     @property
-    def synthetic(self) -> Table:
-        """Alias kept for symmetry with the legacy ``SynthesisRun``."""
-        return self.table
-
-    @property
     def selection_curve(self) -> List[float]:
         return self.curves.get("selection", [])
 

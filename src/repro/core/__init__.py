@@ -1,9 +1,11 @@
 """Design space, evaluation framework, and experiment runner.
 
 ``design_space`` has no intra-package dependencies and is imported
-eagerly; the evaluation/pipeline/experiment layers import the GAN
-package (which itself needs ``design_space``), so they load lazily to
-keep the import graph acyclic.
+eagerly; the evaluation/model-selection/experiment layers import the
+GAN package or the :func:`repro.synthesize` facade (which themselves
+need ``design_space``), so they load lazily to keep the import graph
+acyclic.  Synthesis itself, with validation-based snapshot selection,
+is :func:`repro.synthesize`.
 """
 
 from .design_space import (
@@ -17,7 +19,6 @@ __all__ = [
     "ClassificationUtility", "PrivacyReport", "aqp_utility",
     "classifier_f1", "classification_utilities", "classification_utility",
     "clustering_utility", "privacy_report",
-    "SynthesisRun", "run_gan_synthesis", "snapshot_f1_curve",
     "SearchResult", "hyperparameter_candidates", "random_search",
     "ExperimentContext", "get_context",
     "marginal_distances", "correlation_difference",
@@ -35,11 +36,6 @@ _LAZY = {
                                "classification_utility"),
     "clustering_utility": ("repro.core.evaluation", "clustering_utility"),
     "privacy_report": ("repro.core.evaluation", "privacy_report"),
-    "SynthesisRun": ("repro.core.pipeline", "SynthesisRun"),
-    "run_gan_synthesis": ("repro.core.pipeline", "run_gan_synthesis"),
-    "snapshot_f1_curve": ("repro.core.pipeline", "snapshot_f1_curve"),
-    "snapshot_fidelity_curve": ("repro.core.pipeline",
-                                "snapshot_fidelity_curve"),
     "SearchResult": ("repro.core.model_selection", "SearchResult"),
     "hyperparameter_candidates": ("repro.core.model_selection",
                                   "hyperparameter_candidates"),

@@ -26,7 +26,6 @@ from ..api import SynthesisResult, make_synthesizer
 from ..datasets.schema import Table
 from .design_space import DesignConfig
 from .evaluation import classification_utilities
-from .pipeline import SynthesisRun, run_gan_synthesis
 
 
 def _env_int(name: str, default: int) -> int:
@@ -85,11 +84,11 @@ class ExperimentContext:
                           seed=kwargs.pop("seed", self.seed), **kwargs)
 
     def gan(self, config: Optional[DesignConfig] = None,
-            size_ratio: float = 1.0, seed_offset: int = 0) -> SynthesisRun:
-        config = config if config is not None else DesignConfig()
-        return run_gan_synthesis(
-            config, self.train, self.valid, epochs=self.epochs,
-            iterations_per_epoch=self.iterations_per_epoch,
+            size_ratio: float = 1.0, seed_offset: int = 0
+            ) -> SynthesisResult:
+        """GAN synthesis with validation-based snapshot selection."""
+        return self.synthesize(
+            "gan", config=config if config is not None else DesignConfig(),
             size_ratio=size_ratio, seed=self.seed + seed_offset)
 
     def vae(self, **kwargs) -> Table:

@@ -15,9 +15,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..api.facade import synthesize
+from ..api.result import SynthesisResult
 from ..datasets.schema import Table
 from .design_space import DesignConfig
-from .pipeline import SynthesisRun, run_gan_synthesis
 
 _LEARNING_RATES = (5e-4, 1e-3, 2e-3, 5e-3)
 _HIDDEN_DIMS = (64, 128, 256)
@@ -49,13 +50,13 @@ class SearchResult:
     """Outcome of a random hyper-parameter search."""
 
     best_config: DesignConfig
-    best_run: SynthesisRun
+    best_run: SynthesisResult
     curves: List[List[float]] = field(default_factory=list)
     configs: List[DesignConfig] = field(default_factory=list)
 
     @property
     def best_f1(self) -> float:
-        return self.best_run.final_f1
+        return self.best_run.final_score
 
 
 def random_search(base: DesignConfig, train: Table, valid: Table,
@@ -65,16 +66,16 @@ def random_search(base: DesignConfig, train: Table, valid: Table,
                   seed: int = 0) -> SearchResult:
     """Train each candidate, keep the best validation score."""
     candidates = hyperparameter_candidates(base, n=n_trials, seed=seed)
-    best: Optional[SynthesisRun] = None
+    best: Optional[SynthesisResult] = None
     best_config = base
     curves: List[List[float]] = []
     for i, config in enumerate(candidates):
-        run = run_gan_synthesis(
-            config, train, valid, epochs=epochs,
+        run = synthesize(
+            train, method="gan", config=config, valid=valid, epochs=epochs,
             iterations_per_epoch=iterations_per_epoch,
             selection_classifier=selection_classifier, seed=seed + i)
-        curves.append(run.epoch_f1)
-        if best is None or run.final_f1 > best.final_f1:
+        curves.append(run.selection_curve)
+        if best is None or run.final_score > best.final_score:
             best = run
             best_config = config
     return SearchResult(best_config=best_config, best_run=best,

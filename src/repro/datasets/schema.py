@@ -218,10 +218,15 @@ class Table:
         schema = self.schema.without_label()
         return Table(schema, {a.name: self.columns[a.name] for a in schema})
 
-    def concat_rows(self, other: "Table") -> "Table":
-        if other.schema.names != self.schema.names:
+    def concat_rows(self, *others: "Table") -> "Table":
+        """This table's rows followed by those of each of ``others``,
+        in order; ``self`` itself, not a copy, when given none."""
+        if not others:
+            return self
+        if any(other.schema.names != self.schema.names for other in others):
             raise SchemaError("schema mismatch in concat")
-        cols = {name: np.concatenate([self.columns[name], other.columns[name]])
+        tables = (self,) + others
+        cols = {name: np.concatenate([t.columns[name] for t in tables])
                 for name in self.columns}
         return Table(self.schema, cols)
 

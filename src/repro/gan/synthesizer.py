@@ -16,7 +16,7 @@ registered under the name ``"gan"``.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from ..transform.record import transformer_from_state
 from .cnn import CNNDiscriminator, CNNGenerator, DEFAULT_SIDE
 from .lstm import LSTMDiscriminator, LSTMGenerator
 from .mlp import MLPDiscriminator, MLPGenerator
-from .training import EpochRecord, TrainResult, make_trainer
+from .training import TrainResult, make_trainer
 
 
 @register("gan")
@@ -52,6 +52,13 @@ class GANSynthesizer(Synthesizer):
         state (the others record ``snapshot=None``), cutting sweep
         memory by ``epochs``x generator size.  Leave True (the default)
         whenever validation-based snapshot selection will run.
+
+    ``fit(table, callbacks=...)`` passes each callback one
+    :class:`~repro.gan.training.EpochRecord` per epoch.  ``fit``'s
+    ``conditions`` switches the synthesizer into *context* conditioning:
+    an ``(n, cond_dim)`` float matrix with one row per training record
+    (e.g. encoded parent rows in multi-table synthesis); sampling then
+    requires a matching matrix.
     """
 
     supports_conditioning = True
@@ -95,26 +102,6 @@ class GANSynthesizer(Synthesizer):
     # ------------------------------------------------------------------
     # Phase I + II
     # ------------------------------------------------------------------
-    def fit(self, table: Table, callbacks=None, conditions=None,
-            epoch_callback: Optional[Callable[[EpochRecord], None]] = None
-            ) -> "GANSynthesizer":
-        """Transform ``table`` and adversarially train the generator.
-
-        ``epoch_callback`` is the legacy single-callable spelling of
-        ``callbacks``; both receive per-epoch :class:`EpochRecord`\\ s.
-        ``conditions`` switches the synthesizer into *context*
-        conditioning: an ``(n, cond_dim)`` float matrix with one row per
-        training record (e.g. encoded parent rows in multi-table
-        synthesis); sampling then requires a matching matrix.
-        """
-        if epoch_callback is not None:
-            merged = [epoch_callback]
-            if callbacks is not None:
-                merged = ([callbacks] if callable(callbacks)
-                          else list(callbacks)) + merged
-            callbacks = merged
-        return super().fit(table, callbacks=callbacks, conditions=conditions)
-
     def _fit(self, table: Table, callbacks, conditions=None) -> None:
         config = self.config
         label_attr = table.schema.label
@@ -180,11 +167,6 @@ class GANSynthesizer(Synthesizer):
         trainer = make_trainer(config, self.generator, self.discriminator,
                                self.rng,
                                force_conditional=self._cond_kind == "context")
-        epoch_callback = None
-        if callbacks:
-            def epoch_callback(record, _callbacks=tuple(callbacks)):
-                for callback in _callbacks:
-                    callback(record)
         if self._cond_kind == "context":
             # The sampler's per-row "labels" are indices into the
             # context matrix, so minibatches gather matching rows.
@@ -193,7 +175,7 @@ class GANSynthesizer(Synthesizer):
             trainer_labels = labels
         self.train_result = trainer.train(
             data, trainer_labels, self._n_labels, self.epochs,
-            self.iterations_per_epoch, epoch_callback=epoch_callback,
+            self.iterations_per_epoch, callbacks=callbacks,
             snapshot_epochs=None if self.keep_snapshots else (),
             conditions=conditions if self._cond_kind == "context" else None)
         self._active_snapshot = len(self.train_result.epochs) - 1
@@ -345,8 +327,8 @@ class GANSynthesizer(Synthesizer):
         model skips a cast per chunk.
         ``conditions`` fixes the conditioning inputs explicitly: label
         codes for a label-conditional config (``None`` draws from the
-        training marginal, the legacy behaviour), or a ``(m, cond_dim)``
-        context matrix for a context-conditioned fit (required).
+        training marginal), or a ``(m, cond_dim)`` context matrix for a
+        context-conditioned fit (required).
         """
         dtype = get_default_dtype()
         z = Tensor(rng.standard_normal((m, self.config.z_dim), dtype=dtype))
@@ -389,25 +371,6 @@ class GANSynthesizer(Synthesizer):
         with no_grad():
             raw = self.generator(z, cond).data
         return raw, labels
-
-    def sample_raw(self, n: int, batch: int = 256,
-                   seed: Optional[int] = None) -> np.ndarray:
-        """Generate ``n`` raw samples (pre-inverse-transformation)."""
-        self._require_fitted()
-        rng = self._sampling_rng(seed)
-        chunks = []
-        self._sampled_labels = []
-        remaining = n
-        with self._sampling_session():
-            while remaining > 0:
-                m = min(batch, remaining)
-                with self._dtype_scope():
-                    raw, labels = self._generate_raw(m, rng)
-                chunks.append(raw)
-                if labels is not None:
-                    self._sampled_labels.append(labels)
-                remaining -= m
-        return np.concatenate(chunks, axis=0)
 
     def _sample_chunk(self, m: int, rng: np.random.Generator,
                       conditions=None) -> Table:

@@ -19,7 +19,7 @@ DPTrain is WTrain with bounded, noised discriminator gradients (DPGAN).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -114,10 +114,11 @@ class BaseTrainer:
     # -- main loop ------------------------------------------------------
     def train(self, data: np.ndarray, labels: Optional[np.ndarray],
               n_labels: int, epochs: int, iterations_per_epoch: int,
-              epoch_callback: Optional[Callable[[EpochRecord], None]] = None,
+              callbacks: Sequence[Callable[[EpochRecord], None]] = (),
               snapshot_epochs: Optional[Iterable[int]] = None,
               conditions: Optional[np.ndarray] = None) -> TrainResult:
-        """Run the epoch loop.
+        """Run the epoch loop, passing each epoch's record to every
+        callable in ``callbacks``.
 
         ``snapshot_epochs`` limits which epochs deep-copy the generator
         ``state_dict`` into their :class:`EpochRecord` (``None`` keeps
@@ -163,8 +164,8 @@ class BaseTrainer:
                           if take_snapshot else None),
             )
             result.epochs.append(record)
-            if epoch_callback is not None:
-                epoch_callback(record)
+            for callback in callbacks:
+                callback(record)
         return result
 
     def prepare(self, data, labels, n_labels) -> None:

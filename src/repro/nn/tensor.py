@@ -53,9 +53,6 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 #: Engine dtypes supported by :func:`set_default_dtype`.
 SUPPORTED_DTYPES = (np.float32, np.float64)
 
-#: Legacy alias for the parity-mode dtype (the historical engine dtype).
-DTYPE = np.float64
-
 _default_dtype = np.float64
 
 

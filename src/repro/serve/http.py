@@ -37,8 +37,8 @@ connection, no third-party web stack.  Endpoints:
     that is not streamed is built in memory, so it holds at most
     :data:`MAX_BUFFERED_ROWS` rows.  A JSON table request may add
     ``"trace": true`` to get the request's stitched span breakdown
-    (pool dispatch, per-chunk worker spans) back in the response under
-    ``"trace"``.
+    (one span per chunk, timed in the worker that generated it) back in
+    the response under ``"trace"``.
 
 Errors map 1:1 from the serving exception hierarchy: 404 unknown model,
 400 invalid request, 413 body over :data:`MAX_BODY_BYTES` or buffered
@@ -157,6 +157,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            # The client learns this is the connection's last response
+            # from the response itself, not only from the EOF after it.
+            self.send_header("Connection", "close")
         if status == 503:
             # An open circuit reports the breaker's own estimate of
             # when a probe will be admitted; plain backpressure keeps
@@ -208,19 +212,36 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise _StreamAborted() from exc
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if not 0 <= length <= MAX_BODY_BYTES:
-            # Refused before reading anything (rfile.read(-1) would block
-            # until the client hangs up); the connection then closes, so
-            # the unread body is never parsed as a next request.
-            self.close_connection = True
-            if length < 0:
-                raise ValueError(
-                    f"Content-Length must be >= 0, got {length}")
+    def _body_length(self) -> int:
+        """The request body's declared length, refused when the body
+        cannot be read safely: framed by ``Transfer-Encoding``, of no
+        valid ``Content-Length``, or over :data:`MAX_BODY_BYTES`."""
+        if "Transfer-Encoding" in self.headers:
+            raise ValueError(
+                "request bodies must be sent with Content-Length, not "
+                "Transfer-Encoding")
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise ValueError(
+                f"Content-Length must be a non-negative integer, got "
+                f"{declared[:40]!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
             raise BodyTooLarge(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit")
+        return length
+
+    def _read_body(self) -> dict:
+        try:
+            length = self._body_length()
+        except Exception:
+            # Refused before any body byte is read (a body of unknown
+            # length cannot be skipped, and rfile.read(-1) would block
+            # until the client hangs up); the connection then closes,
+            # so the unread body is never parsed as a next request.
+            self.close_connection = True
+            raise
         if length == 0:
             return {}
         raw = self.rfile.read(length)

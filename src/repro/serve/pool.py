@@ -8,9 +8,16 @@ sharded-seed contract (:func:`repro.api.chunk_plan`): chunk ``i`` of a
 ``(seed, "chunk", i)`` *wherever it runs*, so the pool's reassembled
 output is bit-identical to single-process ``sample(n, batch=batch,
 seed=seed)`` — for any worker count, including the inline ``workers=0``
-mode.  Database requests are not sharded (a database draw is a
-sequential parents-first walk); they run whole on one worker, with
-parallelism coming from concurrent requests.
+mode.  A table request is one stream of single-chunk tasks, dispatched
+a bounded window ahead of its consumer; ``sample`` concatenates the
+stream ``sample_iter`` yields.  Database requests are not sharded (a
+database draw is a sequential parents-first walk); they run whole on
+one worker, with parallelism coming from concurrent requests.
+
+Every task runs one way (:func:`_run_task`), in a worker, in the
+parent's inline fallback, and in a ``workers=0`` pool alike: its chunks
+are sampled, CSV rows are attached when the task is flagged, and one
+chunk span is stamped over both.
 
 Transport: every worker slot gets its **own pair of pipes** (tasks
 down, results up).  A shared ``mp.Queue`` cannot survive worker death —
@@ -64,7 +71,7 @@ dtype it was saved in (:meth:`repro.api.Synthesizer.load`), in a worker,
 inline, or in the fitting process alike, so one pool's output does not
 depend on the parent's default dtype.
 
-Encoding: a streamed request drawn inside
+Encoding: a request drawn inside
 :func:`repro.serve.encoding.csv_at_source` (the HTTP layer's streamed
 CSV responses) has each chunk's CSV rows encoded by the process that
 generated the chunk, inside its shipped chunk span; the chunk still
@@ -75,7 +82,6 @@ bytes (:func:`repro.serve.encoding.attach_csv`).
 from __future__ import annotations
 
 import collections
-import contextlib
 import ctypes
 import glob
 import itertools
@@ -195,6 +201,41 @@ def _is_cancelled(cancel_ring, req_id: int) -> bool:
     return req_id in list(raw)[1:]
 
 
+def _run_task(model, task: tuple, tags: dict
+              ) -> Iterator[Tuple[int, object, Optional[dict]]]:
+    """Run one pool task on a loaded model: yields ``(index, payload,
+    span)`` per chunk it produces.
+
+    A ``"chunks"`` task samples its chunk indices (all of the plan when
+    ``None``) under the sharded-seed contract; when flagged ``encode``
+    each chunk gets its CSV rows attached, and when flagged ``traced``
+    one ``chunk`` span (a plain dict: pipes carry data, the parent
+    stitches it into the request trace), tagged with ``tags``, covers
+    the sampling and the encode.  A ``"database"`` task is one whole
+    draw, yielded as index 0 without a span.
+    """
+    kind, _, indices, *args = task
+    if kind == "database":
+        scale, sizes, batch, seed = args
+        yield 0, model.sample(scale, sizes=sizes, batch=batch,
+                              seed=seed), None
+        return
+    n, batch, seed, encode, traced = args
+    started = _obs_clock.perf()
+    for index, table in model.sample_chunks(n, batch=batch, seed=seed,
+                                            indices=indices):
+        if encode:
+            encoding.attach_csv(table)
+        span = None
+        if traced:
+            done = _obs_clock.perf()
+            span = {"span_id": f"chunk-{index}", "name": "chunk",
+                    "start": started, "end": done,
+                    "tags": {"chunk": index, **tags}}
+            started = done
+        yield index, table, span
+
+
 def _worker_main(path: str, worker_id: int, incarnation: int,
                  blas_budget: int, task_r, result_w, cancel_ring) -> None:
     """Worker process body: load once, then serve tasks until sentinel.
@@ -212,9 +253,7 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
     Every message leads with this worker's slot id.  A claim ack is
     sent *before* generation starts, so the parent's ledger of what
     this process owes is confirmed on the same ordered pipe that later
-    carries the chunks.  A chunk of a task flagged ``encode`` has its
-    CSV rows attached before its span is stamped, so the encode counts
-    inside the chunk's shipped span.
+    carries the chunks.  Tasks run through :func:`_run_task`.
     """
     try:
         from ..nn import reset_worker_state
@@ -235,6 +274,7 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
                        traceback.format_exc(limit=16)))
         return
     result_w.send(("ready", worker_id, meta))
+    tags = {"worker": worker_id, "incarnation": incarnation}
     produced = 0
     tasks_seen = 0
     while True:
@@ -244,7 +284,7 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
             return
         if task is None:
             return
-        kind, req_id = task[0], task[1]
+        kind, req_id, indices = task[:3]
         tasks_seen += 1
         if _is_cancelled(cancel_ring, req_id):
             result_w.send(("skip", worker_id, req_id))
@@ -253,51 +293,20 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
             if plan is not None:
                 plan.fire("task", worker=worker_id,
                           incarnation=incarnation, count=tasks_seen)
-            if kind == "chunks":
-                _, _, n, batch, seed, indices, traced, encode = task
-                result_w.send(("claim", worker_id, req_id,
-                               list(indices)))
-                chunk_started = _obs_clock.perf()
-                for index, table in model.sample_chunks(
-                        n, batch=batch, seed=seed, indices=indices):
-                    if _is_cancelled(cancel_ring, req_id):
-                        result_w.send(("skip", worker_id, req_id))
-                        break
-                    if plan is not None:
-                        plan.fire("chunk", worker=worker_id,
-                                  incarnation=incarnation, index=index,
-                                  produced=produced)
-                    if encode:
-                        encoding.attach_csv(table)
-                    span = None
-                    if traced:
-                        # Plain dict, not a Span: the pipe carries data,
-                        # the parent stitches it into the request Trace.
-                        done = _obs_clock.perf()
-                        span = {"span_id": f"chunk-{index}",
-                                "name": "chunk", "start": chunk_started,
-                                "end": done,
-                                "tags": {"chunk": index,
-                                         "worker": worker_id,
-                                         "incarnation": incarnation}}
-                        chunk_started = done
-                    result_w.send(("chunk", worker_id, req_id, index,
-                                   table, span))
-                    produced += 1
-            elif kind == "database":
-                _, _, scale, sizes, batch, seed = task
-                result_w.send(("claim", worker_id, req_id, [0]))
-                database = model.sample(scale, sizes=sizes, batch=batch,
-                                        seed=seed)
+            result_w.send(("claim", worker_id, req_id, list(indices)))
+            for index, payload, span in _run_task(model, task, tags):
+                if _is_cancelled(cancel_ring, req_id):
+                    result_w.send(("skip", worker_id, req_id))
+                    break
                 if plan is not None:
+                    # A whole database draw fires as chunk index -1.
                     plan.fire("chunk", worker=worker_id,
-                              incarnation=incarnation, index=-1,
+                              incarnation=incarnation,
+                              index=index if kind == "chunks" else -1,
                               produced=produced)
-                result_w.send(("chunk", worker_id, req_id, 0, database,
-                               None))
+                result_w.send(("chunk", worker_id, req_id, index,
+                               payload, span))
                 produced += 1
-            else:
-                raise ValueError(f"unknown task kind {kind!r}")
         except Exception as exc:
             result_w.send(("error", worker_id, req_id,
                            f"{type(exc).__name__}: {exc}"))
@@ -370,19 +379,19 @@ class _Pending:
         self.trace = trace          # repro.obs.Trace or None
 
     def task_for(self, req_id: int, indices: List[int]) -> tuple:
-        """Rebuild the pipe task covering ``indices`` of this request.
+        """The pipe task covering ``indices`` of this request:
+        ``(kind, req_id, indices, *spec)``, plus the ``traced`` flag for
+        a chunks task.
 
-        The rebuilt task keeps the ``traced`` and ``encode`` flags, so
-        chunks re-executed after a worker death ship spans and bytes
-        exactly like the first attempt (the parent stitches them as
-        retry spans).
+        A task rebuilt for a requeue keeps the ``traced`` and
+        ``encode`` flags, so chunks re-executed after a worker death
+        ship spans and bytes exactly like the first attempt (the parent
+        stitches them as retry spans).
         """
+        task = (self.kind, req_id, sorted(indices), *self.spec)
         if self.kind == "chunks":
-            n, batch, seed, encode = self.spec
-            return ("chunks", req_id, n, batch, seed, sorted(indices),
-                    self.trace is not None, encode)
-        scale, sizes, batch, seed = self.spec
-        return ("database", req_id, scale, sizes, batch, seed)
+            task += (self.trace is not None,)
+        return task
 
     def stitch(self, index: int, span: Optional[dict]) -> None:
         """Adopt a worker-shipped chunk span into the request trace."""
@@ -447,15 +456,12 @@ class WorkerPool:
     request_timeout:
         Default per-request deadline in seconds (overridable per call).
     respawn:
-        Respawn dead workers in place (with exponential backoff).
-        ``False`` restores crash-fail supervision: any worker death
-        retires its slot.
-    max_boot_failures:
-        Consecutive boot failures (death before reporting ready) that
-        retire a slot instead of respawning again.
-    backoff:
-        :class:`repro.serve.circuit.RespawnBackoff` schedule; default
-        0.25s doubling to a 15s cap.
+        Respawn dead workers in place, on the exponential
+        :class:`repro.serve.circuit.RespawnBackoff` schedule (0.25s
+        doubling to a 15s cap); :data:`DEFAULT_MAX_BOOT_FAILURES`
+        consecutive boot failures (death before reporting ready) retire
+        a slot instead.  ``False`` restores crash-fail supervision: any
+        worker death retires its slot.
     chunk_retry_budget:
         How many times one chunk may be requeued after worker deaths
         before its request fails with :class:`WorkerError` (poison-chunk
@@ -490,15 +496,11 @@ class WorkerPool:
                  start_timeout: float = DEFAULT_START_TIMEOUT,
                  inline_model=None, on_close=None,
                  respawn: bool = True,
-                 max_boot_failures: int = DEFAULT_MAX_BOOT_FAILURES,
-                 backoff: Optional[RespawnBackoff] = None,
                  chunk_retry_budget: int = DEFAULT_CHUNK_RETRY_BUDGET,
                  inline_fallback: bool = True,
                  metrics=None, event_ring: int = DEFAULT_EVENT_RING):
         workers = _count("workers", workers, minimum=0)
         event_ring = _count("event_ring", event_ring, minimum=1)
-        max_boot_failures = _count("max_boot_failures", max_boot_failures,
-                                   minimum=1)
         chunk_retry_budget = _count("chunk_retry_budget",
                                     chunk_retry_budget, minimum=0)
         self.path = pathlib.Path(path)
@@ -508,8 +510,7 @@ class WorkerPool:
         self.workers = workers
         self.request_timeout = request_timeout
         self.respawn = respawn
-        self.max_boot_failures = max_boot_failures
-        self.backoff = RespawnBackoff() if backoff is None else backoff
+        self._backoff = RespawnBackoff()
         self.chunk_retry_budget = chunk_retry_budget
         self.inline_fallback = inline_fallback
         self._on_close = on_close
@@ -771,13 +772,13 @@ class WorkerPool:
                                ready=slot.ready)
             self._m_deaths.inc(model=self._model_label)
             if not self.respawn or \
-                    slot.boot_failures >= self.max_boot_failures:
+                    slot.boot_failures >= DEFAULT_MAX_BOOT_FAILURES:
                 slot.retired = True
                 self._record_event("retired", slot=slot.slot,
                                    boot_failures=slot.boot_failures)
             else:
                 failures = slot.deaths + slot.boot_failures
-                slot.respawn_at = now + self.backoff.delay(
+                slot.respawn_at = now + self._backoff.delay(
                     max(0, failures - 1))
 
     def _run_reclaims(self) -> None:
@@ -860,11 +861,11 @@ class WorkerPool:
                     slot.boot_failures += 1
                 self._record_event("respawn_failed", slot=slot.slot,
                                    detail=f"{type(exc).__name__}: {exc}")
-                if slot.boot_failures >= self.max_boot_failures:
+                if slot.boot_failures >= DEFAULT_MAX_BOOT_FAILURES:
                     slot.retired = True
                 else:
                     failures = slot.deaths + slot.boot_failures
-                    slot.respawn_at = now + self.backoff.delay(
+                    slot.respawn_at = now + self._backoff.delay(
                         max(0, failures - 1))
 
     def _flush_backlog(self) -> None:
@@ -901,8 +902,8 @@ class WorkerPool:
                              "fallback is disabled")
             return
         # Last-resort drain: finish everything already dispatched but
-        # undelivered, inline in the parent.  Undispatched chunks of
-        # windowed streams are routed inline by _dispatch from here on.
+        # undelivered, inline in the parent.  Undispatched chunks are
+        # routed inline by _dispatch from here on.
         for req_id, pending in pendings.items():
             remaining = pending.undelivered()
             if not remaining:
@@ -924,7 +925,7 @@ class WorkerPool:
         Serialized on ``_fallback_lock`` (supervisor drain and caller
         threads may race here after a takeover).
         """
-        kind, req_id = task[0], task[1]
+        req_id = task[1]
         with self._lock:
             pending = self._pending.get(req_id)
             cancelled = req_id in self._cancelled
@@ -933,35 +934,14 @@ class WorkerPool:
             return
         try:
             with self._fallback_lock:
-                model = self._fallback()
-                if kind == "chunks":
-                    _, _, n, batch, seed, indices, traced, encode = task
-                    chunk_started = _obs_clock.perf()
-                    for index, chunk in model.sample_chunks(
-                            n, batch=batch, seed=seed, indices=indices):
-                        if self._closed:
-                            return
-                        if encode:
-                            encoding.attach_csv(chunk)
-                        if traced:
-                            done = _obs_clock.perf()
-                            pending.stitch(index, {
-                                "span_id": f"chunk-{index}",
-                                "name": "chunk", "start": chunk_started,
-                                "end": done,
-                                "tags": {"chunk": index,
-                                         "worker": "inline"}})
-                            chunk_started = done
-                        self._m_chunks.inc(model=self._model_label,
-                                           source="inline")
-                        pending.deliver(index, chunk)
-                else:
-                    _, _, scale, sizes, batch, seed = task
-                    database = model.sample(scale, sizes=sizes,
-                                            batch=batch, seed=seed)
+                for index, payload, span in _run_task(
+                        self._fallback(), task, {"worker": "inline"}):
+                    if self._closed:
+                        return
+                    pending.stitch(index, span)
                     self._m_chunks.inc(model=self._model_label,
                                        source="inline")
-                    pending.deliver(0, database)
+                    pending.deliver(index, payload)
         except Exception as exc:
             pending.fail(f"inline recovery failed: "
                          f"{type(exc).__name__}: {exc}")
@@ -1355,25 +1335,19 @@ class WorkerPool:
                timeout: Optional[float] = None, trace=None) -> Table:
         """Sharded ``sample(n)``, bit-identical to the local call.
 
-        The chunk plan is strided across the workers; reassembly
-        concatenates in chunk order, so the result equals
-        ``load_model(path).sample(n, batch=batch, seed=seed)`` exactly.
-        Unseeded requests get a fresh request seed (reported by the
-        service layer) so they shard the same way.
+        Concatenates, in chunk order, the stream :meth:`sample_iter`
+        yields, so the result equals ``load_model(path).sample(n,
+        batch=batch, seed=seed)`` exactly.  Unseeded requests get a
+        fresh request seed (reported by the service layer) so they
+        shard the same way.
 
         ``trace`` (a :class:`repro.obs.Trace`) collects one span per
         chunk, timed in the worker that generated it and shipped back
         on the result pipes; chunks re-executed after a worker death
         appear as retry spans.
         """
-        chunks = list(self._iter_shards(n, batch, seed, timeout,
-                                        windowed=False, trace=trace))
-        if len(chunks) == 1:
-            return chunks[0]
-        schema = chunks[0].schema
-        columns = {name: np.concatenate([c.columns[name] for c in chunks])
-                   for name in schema.names}
-        return Table(schema, columns)
+        chunks = list(self._stream(n, batch, seed, timeout, trace))
+        return chunks[0].concat_rows(*chunks[1:])
 
     def sample_iter(self, n: int, batch: Optional[int] = None,
                     seed: Optional[int] = None,
@@ -1381,97 +1355,73 @@ class WorkerPool:
                     trace=None) -> Iterator[Table]:
         """Stream the sharded request's chunks in order as they land.
 
-        Streamed requests are **flow-controlled**: chunk tasks are
-        dispatched in a sliding window ahead of the consumer, so a slow
-        reader (e.g. an HTTP client on a thin pipe) bounds the chunks
-        buffered in the parent instead of letting the workers race
-        ahead and re-materialize the whole table in memory.  Called
-        inside :func:`repro.serve.encoding.csv_at_source`, each chunk
-        also carries its CSV rows, encoded where it was generated.
+        Requests are **flow-controlled**: one task per chunk, dispatched
+        to the least-loaded worker in a sliding window ahead of the
+        consumer, so a slow reader (e.g. an HTTP client on a thin pipe)
+        bounds the chunks buffered in the parent instead of letting the
+        workers race ahead and re-materialize the whole table in memory.
+        Called inside :func:`repro.serve.encoding.csv_at_source`, each
+        chunk also carries its CSV rows, encoded where it was generated.
         """
-        return self._iter_shards(n, batch, seed, timeout, windowed=True,
-                                 trace=trace)
+        return self._stream(n, batch, seed, timeout, trace)
 
-    def _iter_shards(self, n: int, batch: Optional[int],
-                     seed: Optional[int], timeout: Optional[float],
-                     windowed: bool, trace=None) -> Iterator[Table]:
+    def _stream(self, n: int, batch: Optional[int], seed: Optional[int],
+                timeout: Optional[float], trace) -> Iterator[Table]:
+        # sample() reaches the stream here, never through the public
+        # sample_iter(), so a wrapper around either method sees each
+        # request once.
         n = _count("n", n, minimum=1)
         batch, plan = self._table_plan(n, batch)
         seed = fresh_seed() if seed is None else seed
-        encode = windowed and encoding.csv_wanted_at_source()
+        spec = (n, batch, seed, encoding.csv_wanted_at_source())
         if self._inline_model is not None:
             with self._lock:
                 if self._closed:
                     raise PoolClosed(
                         f"pool for {self.path.name} is closed")
-            return self._iter_inline(n, batch, seed, plan, timeout, trace,
-                                     encode)
-        return self._stream_from_workers(n, batch, seed, plan, timeout,
-                                         windowed, trace, encode)
+            return self._iter_inline(spec, len(plan), timeout, trace)
+        return self._stream_from_workers(spec, len(plan), timeout, trace)
 
-    def _iter_inline(self, n, batch, seed, plan, timeout, trace,
-                     encode: bool) -> Iterator[Table]:
+    def _iter_inline(self, spec: tuple, n_chunks: int,
+                     timeout: Optional[float], trace) -> Iterator[Table]:
         # Best-effort deadline: generation runs on the caller's thread,
         # so the check lands between chunks (a single chunk cannot be
         # preempted) — but a runaway request still stops at a chunk
         # boundary instead of never.
         deadline = self._deadline(timeout)
-        chunk_started = _obs_clock.perf()
-        chunks = self._inline_model.sample_chunks(n, batch=batch, seed=seed)
-        for _ in plan:
+        chunks = _run_task(self._inline_model,
+                           ("chunks", None, None, *spec, trace is not None),
+                           {"worker": "inline"})
+        for _ in range(n_chunks):
             # Counted before the chunk runs, as a worker dispatch is.
             self._m_dispatch.inc(model=self._model_label)
-            index, chunk = next(chunks)
+            _, chunk, span = next(chunks)
             if deadline is not None and _obs_clock.monotonic() > deadline:
                 raise RequestTimeout(
                     "inline request passed its deadline mid-stream")
-            if encode:
-                encoding.attach_csv(chunk)
-            if trace is not None:
-                done = _obs_clock.perf()
-                trace.add({"span_id": f"chunk-{index}", "name": "chunk",
-                           "start": chunk_started, "end": done,
-                           "tags": {"chunk": index, "worker": "inline"}})
-                chunk_started = done
+            if span is not None:
+                trace.add(span)
             self._m_chunks.inc(model=self._model_label, source="inline")
             yield chunk
 
-    def _stream_from_workers(self, n, batch, seed, plan, timeout,
-                             windowed: bool, trace,
-                             encode: bool) -> Iterator[Table]:
+    def _stream_from_workers(self, spec: tuple, n_chunks: int,
+                             timeout: Optional[float],
+                             trace) -> Iterator[Table]:
         deadline = self._deadline(timeout)
-        req_id, pending = self._begin(expected=len(plan), kind="chunks",
-                                      spec=(n, batch, seed, encode),
-                                      trace=trace)
+        req_id, pending = self._begin(expected=n_chunks, kind="chunks",
+                                      spec=spec, trace=trace)
         try:
-            if not windowed:
-                # Bulk consumption (sample()): strided index sets —
-                # equal-size chunks mean equal work, so static striding
-                # balances without per-chunk dispatch traffic.
-                n_tasks = min(self.workers, len(plan)) or 1
-                dispatch_scope = (
-                    contextlib.nullcontext() if trace is None
-                    else trace.span("dispatch", chunks=len(plan),
-                                    tasks=n_tasks))
-                with dispatch_scope:
-                    for shard in range(n_tasks):
-                        indices = list(range(shard, len(plan), n_tasks))
-                        self._dispatch(req_id, pending, indices)
-                for index in range(len(plan)):
-                    yield pending.wait_index(index, deadline)
-                return
-            # Streaming: one task per chunk, dispatched a bounded
-            # window ahead of the consumer, so parent-side buffering
-            # never exceeds ~window chunks however slow the reader is.
+            # One task per chunk, dispatched a bounded window ahead of
+            # the consumer, so parent-side buffering never exceeds
+            # ~window chunks however slow the reader is.
             window = max(2 * self.workers, 4)
-            submitted = min(window, len(plan))
+            submitted = min(window, n_chunks)
             for index in range(submitted):
-                self._dispatch(req_id, pending, [plan[index][0]])
-            for index in range(len(plan)):
+                self._dispatch(req_id, pending, [index])
+            for index in range(n_chunks):
                 chunk = pending.wait_index(index, deadline)
-                if submitted < len(plan):
-                    self._dispatch(req_id, pending,
-                                   [plan[submitted][0]])
+                if submitted < n_chunks:
+                    self._dispatch(req_id, pending, [submitted])
                     submitted += 1
                 yield chunk
         finally:

@@ -8,8 +8,8 @@ end (or an embedding application) calls.
 
 Request routing: every request takes the seeded, sharded pool path.
 An unseeded request gets :func:`~repro.api.seeding.fresh_seed` and
-reports it, so every response can be replayed; the chunk plan is
-strided across the workers either way.
+reports it, so every response can be replayed; either way its chunks
+are dispatched to the workers a bounded window ahead of the consumer.
 
 Admission: at most :data:`MAX_INFLIGHT` requests are in flight at
 once, counted from acceptance until the response ends (a stream until
@@ -109,7 +109,7 @@ class SynthesisService:
             "own service over the shared store root")
 
     def __init__(self, root: PathLike, *, workers: int = 2,
-                 store_capacity: int = 4, pool_capacity: int = 4,
+                 pool_capacity: int = 4,
                  request_timeout: float = 60.0,
                  degraded: str = "reject",
                  circuit_factory=None, metrics=None):
@@ -120,7 +120,7 @@ class SynthesisService:
         # borrow their loaded model through a refcounted checkout;
         # worker-process pools load their own copies and only use the
         # store for name resolution and metadata.
-        self.store = ModelStore(root, capacity=store_capacity)
+        self.store = ModelStore(root)
         self.workers = _count("workers", workers, minimum=0)
         self.pool_capacity = _count("pool_capacity", pool_capacity,
                                     minimum=1)

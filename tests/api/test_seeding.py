@@ -1,7 +1,10 @@
 """Seed substreams, the sharded-seed contract, and count validation."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import chunk_plan, derive_seed, fresh_seed, make_synthesizer
 from repro.api.seeding import seed_sequence, substream
@@ -105,6 +108,23 @@ class TestSampleArgValidation:
 # ----------------------------------------------------------------------
 # The sharded-seed contract
 # ----------------------------------------------------------------------
+@st.composite
+def shard_splits(draw):
+    """``(n, batch, seed, shards)``: a plan of at most 64 chunks, every
+    chunk index given to one of 1-5 workers, each worker's indices in a
+    random order."""
+    n = draw(st.integers(1, 300))
+    batch = draw(st.integers(-(-n // 64), 2 * n))
+    n_chunks = len(chunk_plan(n, batch))
+    workers = draw(st.integers(1, 5))
+    owners = draw(st.lists(st.integers(0, workers - 1),
+                           min_size=n_chunks, max_size=n_chunks))
+    shards = [draw(st.permutations([index for index, owner
+                                    in enumerate(owners) if owner == w]))
+              for w in range(workers)]
+    return n, batch, draw(st.integers(0, 2 ** 63 - 1)), shards
+
+
 class TestSampleChunks:
     def test_chunks_match_full_sample(self, fitted_pb):
         full = fitted_pb.sample(50, batch=16, seed=9)
@@ -115,17 +135,24 @@ class TestSampleChunks:
             out = out.concat_rows(parts[index])
         assert_tables_equal(out, full)
 
-    def test_disjoint_shards_reassemble(self, fitted_pb):
-        full = fitted_pb.sample(40, batch=8, seed=4)
-        even = dict(fitted_pb.sample_chunks(40, batch=8, seed=4,
-                                            indices=[0, 2, 4]))
-        odd = dict(fitted_pb.sample_chunks(40, batch=8, seed=4,
-                                           indices=[3, 1]))
-        merged = {**even, **odd}
-        out = merged[0]
-        for index in range(1, 5):
-            out = out.concat_rows(merged[index])
-        assert_tables_equal(out, full)
+    @settings(max_examples=40, deadline=None)
+    @given(split=shard_splits())
+    @example(split=(40, 8, 4, [[0, 2, 4], [3, 1]]))
+    def test_disjoint_shards_reassemble(self, fitted_pb, split):
+        """Any assignment of the plan's chunks to any number of workers,
+        each computing its chunks in any order, reassembles in index
+        order to exactly ``sample()``: every pooled request relies on
+        this."""
+        n, batch, seed, shards = split
+        merged = {}
+        for indices in shards:
+            merged.update(fitted_pb.sample_chunks(n, batch=batch, seed=seed,
+                                                  indices=indices))
+        assert sorted(merged) == list(range(len(chunk_plan(n, batch))))
+        out = merged[0].concat_rows(*(merged[i]
+                                      for i in range(1, len(merged))))
+        assert_tables_equal(out, fitted_pb.sample(n, batch=batch,
+                                                  seed=seed))
 
     def test_chunk_independent_of_other_chunks(self, fitted_pb):
         solo = dict(fitted_pb.sample_chunks(40, batch=8, seed=4,
@@ -149,6 +176,50 @@ class TestSampleChunks:
         parts = dict(synth.sample_chunks(60, batch=20, seed=11))
         out = parts[0].concat_rows(parts[1]).concat_rows(parts[2])
         assert_tables_equal(out, full)
+
+
+# ----------------------------------------------------------------------
+# Unseeded draws: the seeded draw of a seed taken from self.rng
+# ----------------------------------------------------------------------
+UNSEEDED_FAMILIES = {
+    "gan": dict(epochs=1, iterations_per_epoch=3),
+    "vae": dict(epochs=1, iterations_per_epoch=3),
+    "privbayes": dict(epsilon=None),
+}
+
+
+@pytest.fixture(scope="module")
+def fitted_families():
+    table = make_mixed_table(n=160, seed=5)
+    return {name: make_synthesizer(name, seed=0, **kwargs).fit(table)
+            for name, kwargs in UNSEEDED_FAMILIES.items()}
+
+
+@pytest.mark.parametrize("method", sorted(UNSEEDED_FAMILIES))
+class TestUnseededDraws:
+    """An unseeded draw runs the sharded-seed chunk path on one seed
+    drawn from the model's own generator, so it is replayable from a
+    copy of that generator (that two unseeded draws differ is
+    ``tests/api/test_contract.py``'s ``test_unseeded_sampling_varies``)."""
+
+    def test_sample_is_the_seeded_draw_of_an_rng_seed(self, fitted_families,
+                                                      method):
+        synth = fitted_families[method]
+        rng = copy.deepcopy(synth.rng)
+        drawn = synth.sample(70, batch=16)
+        seed = int(rng.integers(0, 2 ** 63))
+        assert_tables_equal(drawn, synth.sample(70, batch=16, seed=seed))
+
+    def test_sample_iter_is_the_seeded_stream_of_an_rng_seed(
+            self, fitted_families, method):
+        synth = fitted_families[method]
+        rng = copy.deepcopy(synth.rng)
+        chunks = list(synth.sample_iter(70, batch=16))
+        seeded = list(synth.sample_iter(
+            70, batch=16, seed=int(rng.integers(0, 2 ** 63))))
+        assert [len(c) for c in chunks] == [16, 16, 16, 16, 6]
+        for chunk, expected in zip(chunks, seeded):
+            assert_tables_equal(chunk, expected)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Pipeline: snapshot selection, size ratio, hyper-parameter search."""
+"""The GAN pipeline through the facade: snapshot selection, size
+ratio, hyper-parameter search, and the experiment context."""
 
 import numpy as np
 import pytest
 
+from repro import synthesize
+from repro.api.selection import score_snapshots
 from repro.core import (
     DesignConfig, hyperparameter_candidates, random_search,
-    run_gan_synthesis, snapshot_f1_curve,
 )
 from repro.core.experiment import ExperimentContext
 from repro.gan import GANSynthesizer
@@ -24,43 +26,46 @@ def split():
 class TestPipeline:
     def test_run_selects_best_epoch(self, split):
         train, valid, test = split
-        run = run_gan_synthesis(DesignConfig(), train, valid, epochs=3,
-                                iterations_per_epoch=5, seed=0)
-        assert len(run.epoch_f1) == 3
-        assert run.best_epoch == int(np.argmax(run.epoch_f1))
-        assert len(run.synthetic) == len(train)
+        run = synthesize(train, "gan", config=DesignConfig(), valid=valid,
+                         epochs=3, iterations_per_epoch=5, seed=0)
+        assert len(run.selection_curve) == 3
+        assert run.best_epoch == int(np.argmax(run.selection_curve))
+        assert len(run.table) == len(train)
 
     def test_size_ratio(self, split):
         train, valid, _ = split
-        run = run_gan_synthesis(DesignConfig(), train, valid, epochs=2,
-                                iterations_per_epoch=3, size_ratio=0.5,
-                                seed=0)
-        assert len(run.synthetic) == round(len(train) * 0.5)
+        run = synthesize(train, "gan", config=DesignConfig(), valid=valid,
+                         epochs=2, iterations_per_epoch=3, size_ratio=0.5,
+                         seed=0)
+        assert len(run.table) == round(len(train) * 0.5)
 
     def test_snapshot_curve_length(self, split):
         train, valid, _ = split
         synth = GANSynthesizer(DesignConfig(), epochs=3,
                                iterations_per_epoch=4, seed=0).fit(train)
-        curve = snapshot_f1_curve(synth, valid, sample_size=200)
+        scores = score_snapshots(synth, valid, sample_size=200)
+        assert scores.criterion == "f1:DT10"
+        curve = scores.scores
         assert len(curve) == 3
         assert all(0.0 <= v <= 1.0 for v in curve)
 
     def test_unlabeled_table_uses_fidelity_selection(self):
         """Bing-style unlabeled tables must not always pick epoch 0."""
         from repro import datasets
-        from repro.core.pipeline import snapshot_fidelity_curve
 
         table = datasets.load("bing", n_records=360, seed=0)
         train, valid, _ = datasets.split(table, seed=0)
-        run = run_gan_synthesis(DesignConfig(), train, valid, epochs=3,
-                                iterations_per_epoch=4, seed=0)
-        assert len(run.epoch_f1) == 3
+        run = synthesize(train, "gan", config=DesignConfig(), valid=valid,
+                         epochs=3, iterations_per_epoch=4, seed=0)
+        assert len(run.selection_curve) == 3
+        assert run.provenance["selection_criterion"] == "fidelity"
         # Fidelity scores are negative mean marginal TVs.
-        assert all(v <= 0.0 for v in run.epoch_f1)
+        assert all(v <= 0.0 for v in run.selection_curve)
         synth = GANSynthesizer(DesignConfig(), epochs=2,
                                iterations_per_epoch=3, seed=0).fit(train)
-        curve = snapshot_fidelity_curve(synth, valid, sample_size=150)
-        assert len(curve) == 2
+        scores = score_snapshots(synth, valid, sample_size=150)
+        assert scores.criterion == "fidelity"
+        assert len(scores.scores) == 2
 
 
 class TestModelSelection:
@@ -76,7 +81,7 @@ class TestModelSelection:
         result = random_search(DesignConfig(), train, valid, n_trials=2,
                                epochs=2, iterations_per_epoch=3, seed=0)
         assert len(result.curves) == 2
-        assert result.best_run.final_f1 == max(
+        assert result.best_f1 == result.best_run.final_score == max(
             max(curve) for curve in result.curves)
 
 
@@ -90,7 +95,8 @@ class TestExperimentContext:
         ctx = ExperimentContext("adult", n_records=300, epochs=2,
                                 iterations_per_epoch=3, seed=0)
         run = ctx.gan()
-        row = ctx.diff_row(run.synthetic, classifiers=("DT10",))
+        assert run.best_epoch is not None
+        row = ctx.diff_row(run.table, classifiers=("DT10",))
         assert set(row) == {"DT10"}
         assert 0.0 <= row["DT10"] <= 1.0
 

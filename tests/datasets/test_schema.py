@@ -93,6 +93,19 @@ class TestTable:
         both = mixed_table.concat_rows(mixed_table)
         assert len(both) == 2 * len(mixed_table)
 
+    def test_concat_rows_takes_any_number_of_tables(self, mixed_table):
+        assert mixed_table.concat_rows() is mixed_table
+        three = mixed_table.concat_rows(mixed_table, mixed_table)
+        pairwise = mixed_table.concat_rows(mixed_table).concat_rows(
+            mixed_table)
+        assert three.schema.names == mixed_table.schema.names
+        for name in mixed_table.schema.names:
+            np.testing.assert_array_equal(three.column(name),
+                                          pairwise.column(name))
+        with pytest.raises(SchemaError, match="schema mismatch"):
+            mixed_table.concat_rows(mixed_table, mixed_table.drop_label()
+                                    .select(mixed_table.schema.names[:2]))
+
     def test_drop_label(self, mixed_table):
         dropped = mixed_table.drop_label()
         assert dropped.schema.label is None

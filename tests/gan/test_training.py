@@ -89,7 +89,7 @@ class TestVanillaTrainer:
         seen = []
         VanillaTrainer(gen, disc, config, rng).train(
             data, None, 0, epochs=2, iterations_per_epoch=2,
-            epoch_callback=lambda rec: seen.append(rec.epoch))
+            callbacks=[lambda rec: seen.append(rec.epoch)])
         assert seen == [0, 1]
 
 

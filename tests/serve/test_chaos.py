@@ -437,8 +437,9 @@ class TestServiceCircuit:
         reference = load_model(model_root / "adult-pb").sample(
             96, batch=8, seed=5)
         # Incarnation 0 dies mid-request; every respawn (1..3) dies at
-        # boot, so the slot retires after max_boot_failures and the
-        # pool crashes — but a fresh pool's incarnation 0 is clean.
+        # boot, so the slot retires after DEFAULT_MAX_BOOT_FAILURES (3)
+        # and the pool crashes — but a fresh pool's incarnation 0 is
+        # clean.
         set_plan(monkeypatch, KILL_AFTER_2,
                  {"on": "boot", "action": "kill",
                   "incarnations": [1, 2, 3]})

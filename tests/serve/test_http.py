@@ -275,6 +275,47 @@ class TestBodyLimits:
                             {"n": 5, "seed": 1})
         assert status == 200
 
+    @pytest.mark.parametrize("framing", ["Content-Length: abc",
+                                         "Transfer-Encoding: chunked"])
+    def test_body_of_unknown_length_400_then_close(self, server, framing):
+        """A body whose length the server cannot know is refused before
+        a byte of it is read, and the connection closes: the body and
+        the request after it on the same connection are never parsed,
+        so the client gets exactly one response and then EOF."""
+        import socket
+
+        host, port = server.address
+        body = b'{"n": 5}'
+        if framing.startswith("Transfer-Encoding"):
+            body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        head = (f"POST /models/adult-pb/sample HTTP/1.1\r\n"
+                f"Host: {host}\r\nContent-Type: application/json\r\n"
+                f"{framing}\r\n\r\n").encode("ascii")
+        follow_up = (b"POST /models/adult-pb/sample HTTP/1.1\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Content-Length: 8\r\n\r\n{\"n\": 5}")
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(head + body + follow_up)
+            response = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                response += data
+        head_bytes, _, rest = response.partition(b"\r\n\r\n")
+        lines = head_bytes.decode("latin-1").split("\r\n")
+        assert int(lines[0].split()[1]) == 400
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert headers["Connection"] == "close"
+        length = int(headers["Content-Length"])
+        payload = json.loads(rest[:length])
+        assert payload["error"] == "ValueError"
+        assert rest[length:] == b""  # one response, then EOF
+        # Another client still gets served.
+        status, _, _ = post(server, "/models/adult-pb/sample",
+                            {"n": 5, "seed": 1})
+        assert status == 200
+
 
 class TestBufferedRowLimit:
     """A response that is not streamed is built in memory, so its row

@@ -160,6 +160,34 @@ def test_streaming_flow_control_bounds_buffering(model_root):
         assert_tables_equal(out, plain)
 
 
+def test_sample_is_one_call_into_the_stream(model_root, monkeypatch):
+    """sample() concatenates the same windowed stream sample_iter()
+    yields without calling the public sample_iter(), so a wrapper
+    around either method sees each request once."""
+    from repro.api import chunk_plan
+    from repro.obs import MetricsRegistry
+    from repro.obs.trace import Trace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample() went through sample_iter()")
+
+    monkeypatch.setattr(WorkerPool, "sample_iter", refuse)
+    path = model_root / "adult-pb"
+    plain = load_model(path).sample(96, batch=8, seed=2)
+    for workers in (0, 2):
+        registry = MetricsRegistry()
+        trace = Trace("sample")
+        with WorkerPool(path, workers=workers, metrics=registry) as pool:
+            assert_tables_equal(
+                pool.sample(96, batch=8, seed=2, trace=trace), plain)
+        # One task per chunk, each with its one chunk span.
+        dispatch = registry.counter("repro_pool_dispatch_total",
+                                    labelnames=("model",))
+        assert dispatch.value(model="adult-pb") == len(chunk_plan(96, 8))
+        assert {span.name for span in trace.spans()} == {"chunk"}
+        assert set(trace.chunk_coverage()) == set(range(12))
+
+
 def test_concurrent_requests_one_pool(model_root):
     """Several threads hammering one pool each get their exact table."""
     import threading

@@ -8,10 +8,10 @@ be pushed through every utility and privacy evaluation.
 import numpy as np
 import pytest
 
-from repro import datasets
+from repro import datasets, synthesize
 from repro.core import (
     DesignConfig, aqp_utility, classification_utility, clustering_utility,
-    privacy_report, run_gan_synthesis,
+    privacy_report,
 )
 from repro.privbayes import PrivBayesSynthesizer
 from repro.vae import VAESynthesizer
@@ -26,9 +26,9 @@ def split():
 @pytest.fixture(scope="module")
 def gan_synthetic(split):
     train, valid, _ = split
-    run = run_gan_synthesis(DesignConfig(), train, valid, epochs=3,
-                            iterations_per_epoch=10, seed=0)
-    return run.synthetic
+    run = synthesize(train, "gan", config=DesignConfig(), valid=valid,
+                     epochs=3, iterations_per_epoch=10, seed=0)
+    return run.table
 
 
 class TestGANEndToEnd:
@@ -76,9 +76,9 @@ class TestBaselinesEndToEnd:
             DesignConfig(generator="cnn", categorical_encoding="ordinal",
                          numerical_normalization="simple"),
         ):
-            run = run_gan_synthesis(config, train, valid, epochs=1,
-                                    iterations_per_epoch=3, seed=0)
-            assert len(run.synthetic) == len(train)
+            run = synthesize(train, "gan", config=config, valid=valid,
+                             epochs=1, iterations_per_epoch=3, seed=0)
+            assert len(run.table) == len(train)
 
 
 class TestDatasetsIntegration:
@@ -86,9 +86,9 @@ class TestDatasetsIntegration:
     def test_multilabel_datasets_flow(self, name):
         table = datasets.load(name, n_records=400, seed=0)
         train, valid, test = datasets.split(table, seed=0)
-        run = run_gan_synthesis(DesignConfig(), train, valid, epochs=1,
-                                iterations_per_epoch=3, seed=0)
-        result = classification_utility(run.synthetic, train, test, "DT10")
+        run = synthesize(train, "gan", config=DesignConfig(), valid=valid,
+                         epochs=1, iterations_per_epoch=3, seed=0)
+        result = classification_utility(run.table, train, test, "DT10")
         assert 0.0 <= result.diff <= 1.0
 
     def test_unlabeled_bing_for_aqp(self):
