@@ -60,10 +60,11 @@ path)::
     positives = cgan.sample(1000, conditions=np.ones(1000, dtype=int))
 
 Serving (``repro.serve``): point the serving layer at a directory of
-saved models and synthetic data becomes an HTTP service — model store
-with LRU caching, a multiprocessing worker pool per model (seeded
-requests shard across workers **bit-identically** to the local call),
-streaming CSV for large draws::
+saved models and synthetic data becomes an HTTP service — a model
+store that catalogues them, an LRU of multiprocessing worker pools,
+each owning its loaded model (seeded requests shard across workers
+**bit-identically** to the local call), streaming CSV for large
+draws::
 
     synth.save("models/adult-gan")
     from repro.serve import SynthesisServer, WorkerPool

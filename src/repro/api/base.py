@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import pathlib
 import threading
 from typing import (
@@ -46,7 +47,7 @@ from ..datasets.schema import Table
 from ..errors import ConfigError, StreamError, TrainingError
 from ..nn.serialization import load_state, save_state
 from ..nn.tensor import SUPPORTED_DTYPES, default_dtype, get_default_dtype
-from .seeding import substream
+from .seeding import fresh_seed, substream
 
 PathLike = Union[str, pathlib.Path]
 Callback = Callable[[Any], None]
@@ -76,6 +77,40 @@ def _count(name: str, value, minimum: int) -> int:
         bound = "positive" if minimum >= 1 else f"at least {minimum}"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def _request_seed(seed) -> int:
+    """The seed a request draws on: ``seed`` checked as a count (an int
+    of at least 0), or :func:`~repro.api.seeding.fresh_seed` when
+    ``None``.  The serving layer resolves it before dispatch, so a bad
+    seed fails at the boundary at any worker count."""
+    return fresh_seed() if seed is None else _count("seed", seed, minimum=0)
+
+
+def _scale(value) -> float:
+    """Validate a database draw's ``scale``: a finite number above 0."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"scale must be a number, got {value!r}")
+    try:
+        scale = float(value)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale) or scale <= 0:
+        raise ValueError(f"scale must be positive and finite, got {value}")
+    return scale
+
+
+def _sizes(value) -> Dict[str, int]:
+    """Validate a database draw's ``sizes``: an object of table name ->
+    rows, each an int of at least 0 (``None`` is no override)."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(
+            f"sizes must be an object of table -> rows, got {value!r}")
+    return {table: _count(f"sizes[{table!r}]", rows, minimum=0)
+            for table, rows in value.items()}
 
 
 def chunk_plan(n: int, batch: int) -> List[Tuple[int, int, int]]:

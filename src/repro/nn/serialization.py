@@ -102,9 +102,9 @@ def load_state(path: PathLike,
     ``mmap_mode=None`` (default) eagerly copies every array — the
     historical behaviour.  ``mmap_mode="r"`` returns read-only
     memory-mapped views into the archive instead: opening a model then
-    touches only the pages actually used, which is what keeps the model
-    store's version listings and hot-refresh checkouts from faulting in
-    whole generators.  Members the mapping fast path cannot handle
+    touches only the pages actually used.  (The model store lists a
+    version's arrays with :func:`state_manifest`, which reads headers
+    only.)  Members the mapping fast path cannot handle
     (compressed archives, object dtypes, future ``.npy`` versions) fall
     back to an eager copy, so the result is always usable.
     """

@@ -146,11 +146,14 @@ def parse_prometheus(text: str
 
     Histogram child series keep their expanded names (``*_bucket``,
     ``*_sum``, ``*_count``); comment/``TYPE``/``HELP`` lines are
-    skipped.  Good enough for round-trip tests and scrape smoke checks,
-    not a validating parser.
+    skipped.  Lines break on ``\\n`` only, as the format defines them:
+    ``str.splitlines`` would also break on ``\\r``, ``\\x1c``,
+    ``\\u2028`` and the like, which a label value or help text may hold
+    unescaped.  Good enough for round-trip tests and scrape smoke
+    checks, not a validating parser.
     """
     samples: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

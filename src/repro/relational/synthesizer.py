@@ -36,7 +36,9 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..api.base import PathLike, Synthesizer, _count, load_synthesizer
+from ..api.base import (
+    PathLike, Synthesizer, _count, _scale, _sizes, load_synthesizer,
+)
 from ..api.registry import canonical_name, register, resolve
 from ..api.seeding import derive_seed, substream
 from ..datasets.schema import (
@@ -250,13 +252,12 @@ class DatabaseSynthesizer:
         perturbs another table's draw.
         """
         self._require_fitted()
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        scale = _scale(scale)
+        sizes = _sizes(sizes)
         if batch is not None:
             _count("batch", batch, minimum=1)
         request_seed = (derive_seed(seed, "sample") if seed is not None
                         else int(self.rng.integers(0, 2 ** 63)))
-        sizes = dict(sizes or {})
 
         tables: Dict[str, Table] = {}
         inner_tables: Dict[str, Table] = {}

@@ -7,9 +7,11 @@ and expose it all over a dependency-free HTTP API.
 
 Layers (composable bottom-up)::
 
-    ModelStore        name -> loaded model, versioned, LRU + refcounted
-    WorkerPool        one model, N processes, sharded-seed sampling
-    SynthesisService  store + pools, seeded routing, in-flight bound
+    ModelStore        name -> saved-model directory, versioned catalogue
+    WorkerPool        owns one loaded model: N processes (or inline),
+                      sharded-seed sampling
+    SynthesisService  LRU of pools over the store, seeded routing,
+                      in-flight bound
     SynthesisServer   ThreadingHTTPServer front end
 
 Every table request takes the seeded, sharded path: an unseeded one
@@ -54,10 +56,10 @@ from .faults import FAULT_EXIT_CODE, FaultInjected, FaultPlan
 from .http import SynthesisServer
 from .pool import WorkerPool
 from .service import SynthesisService
-from .store import ModelHandle, ModelInfo, ModelStore, load_model
+from .store import ModelInfo, ModelStore, load_model
 
 __all__ = [
-    "ModelStore", "ModelHandle", "ModelInfo", "load_model",
+    "ModelStore", "ModelInfo", "load_model",
     "WorkerPool", "MicroBatcher", "SynthesisService", "SynthesisServer",
     "CircuitBreaker", "RespawnBackoff",
     "FaultPlan", "FaultInjected", "FAULT_EXIT_CODE",

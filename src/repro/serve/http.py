@@ -358,14 +358,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _serve_database(self, name: str, body: dict) -> None:
-        scale = body.get("scale", 1.0)
-        if not isinstance(scale, (int, float)) or isinstance(scale, bool):
-            raise ValueError(f"scale must be a number, got {scale!r}")
-        sizes = body.get("sizes")
-        if sizes is not None and not isinstance(sizes, dict):
-            raise ValueError("sizes must be an object of table -> rows")
         database, used_seed = self.service.sample_database(
-            name, float(scale), sizes=sizes, seed=body.get("seed"))
+            name, body.get("scale", 1.0), sizes=body.get("sizes"),
+            seed=body.get("seed"))
         self._send_json(200, {
             "model": name, "seed": used_seed,
             **database_payload(database),

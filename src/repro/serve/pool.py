@@ -96,8 +96,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..api.base import PathLike, _count, chunk_plan
-from ..api.seeding import fresh_seed
+from ..api.base import (
+    PathLike, _count, _request_seed, _scale, _sizes, chunk_plan,
+)
 from ..check.lockorder import make_condition, make_lock
 from ..datasets.schema import Table
 from ..obs import clock as _obs_clock
@@ -451,8 +452,10 @@ class WorkerPool:
         ``DatabaseSynthesizer.save`` layout).
     workers:
         Worker process count.  ``0`` runs inline in the calling process
-        (no multiprocessing; identical output by the sharded-seed
-        contract) — useful for tests and single-core deployments.
+        on the pool's own loaded copy of the model (no multiprocessing;
+        identical output by the sharded-seed contract) — useful for
+        tests, single-core deployments, and the service's degraded
+        fallback.
     request_timeout:
         Default per-request deadline in seconds (overridable per call).
     respawn:
@@ -494,7 +497,6 @@ class WorkerPool:
     def __init__(self, path: PathLike, workers: int = 1, *,
                  request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
                  start_timeout: float = DEFAULT_START_TIMEOUT,
-                 inline_model=None, on_close=None,
                  respawn: bool = True,
                  chunk_retry_budget: int = DEFAULT_CHUNK_RETRY_BUDGET,
                  inline_fallback: bool = True,
@@ -513,7 +515,6 @@ class WorkerPool:
         self._backoff = RespawnBackoff()
         self.chunk_retry_budget = chunk_retry_budget
         self.inline_fallback = inline_fallback
-        self._on_close = on_close
         self._closed = False
         self._crashed = False
         self._takeover = False
@@ -524,7 +525,6 @@ class WorkerPool:
         self._backlog: List[Tuple[int, Tuple[int, ...]]] = []
         self._inflight = 0
         self._meta: Dict[str, object] = {}
-        self._inline_model = None
         self._slots: List[_WorkerSlot] = []
         self._events: collections.deque = collections.deque(
             maxlen=event_ring)
@@ -565,23 +565,14 @@ class WorkerPool:
             "Requests executing or reserved against the pool.",
             labelnames=("model",))
         self._fallback_lock = make_lock("pool.fallback")
-        self._fallback_model = None
+        self._local_model = None
         if workers == 0:
-            # Inline mode: use the caller-provided loaded model (e.g. a
-            # ModelStore checkout, whose handle release rides on_close)
-            # or load a private copy.
-            if inline_model is None:
-                inline_model = load_model(self.path)
-            self._inline_model = inline_model.spawn_sampler(0)
+            model = self._local()
             self._meta = {
-                "method": getattr(self._inline_model, "method", None),
-                "default_batch": getattr(self._inline_model,
-                                         "default_sample_batch", None)}
+                "method": getattr(model, "method", None),
+                "default_batch": getattr(model, "default_sample_batch",
+                                         None)}
             return
-        if inline_model is not None:
-            raise ServingError(
-                "inline_model is only meaningful with workers=0 "
-                "(worker processes load their own copies)")
         ctx = _mp_context()
         self._ctx = ctx
         self._blas_budget = max(1, usable_cpus() // workers)
@@ -910,14 +901,19 @@ class WorkerPool:
                 continue
             self._run_inline_task(pending.task_for(req_id, remaining))
 
-    def _fallback(self):
-        # Caller must hold _fallback_lock.  worker_id self.workers is
-        # outside the slot range; by the sharded-seed contract the
-        # sampler identity never affects chunk content.
-        if self._fallback_model is None:
-            self._fallback_model = load_model(
+    def _local(self):
+        """The pool's own in-process copy of the model.
+
+        A ``workers=0`` pool loads it at boot and samples on it in the
+        caller's thread; a worker pool loads it on its first inline
+        recovery, under ``_fallback_lock``.  Worker id ``self.workers``
+        is outside the slot range; by the sharded-seed contract the
+        sampler identity never affects chunk content.
+        """
+        if self._local_model is None:
+            self._local_model = load_model(
                 self.path).spawn_sampler(self.workers)
-        return self._fallback_model
+        return self._local_model
 
     def _run_inline_task(self, task: tuple) -> None:
         """Execute one task in the parent, delivering to its pending.
@@ -935,7 +931,7 @@ class WorkerPool:
         try:
             with self._fallback_lock:
                 for index, payload, span in _run_task(
-                        self._fallback(), task, {"worker": "inline"}):
+                        self._local(), task, {"worker": "inline"}):
                     if self._closed:
                         return
                     pending.stitch(index, span)
@@ -1096,11 +1092,7 @@ class WorkerPool:
             self._pending.clear()
         for request in pending:
             request.abandon()
-        if self._on_close is not None:
-            callback, self._on_close = self._on_close, None
-            callback()
-        if self._inline_model is not None:
-            self._inline_model = None
+        if self.workers == 0:
             return
         with self._boot_cond:  # wake any thread still in _await_boot
             self._boot_cond.notify_all()
@@ -1372,9 +1364,9 @@ class WorkerPool:
         # request once.
         n = _count("n", n, minimum=1)
         batch, plan = self._table_plan(n, batch)
-        seed = fresh_seed() if seed is None else seed
-        spec = (n, batch, seed, encoding.csv_wanted_at_source())
-        if self._inline_model is not None:
+        spec = (n, batch, _request_seed(seed),
+                encoding.csv_wanted_at_source())
+        if self.workers == 0:
             with self._lock:
                 if self._closed:
                     raise PoolClosed(
@@ -1389,7 +1381,7 @@ class WorkerPool:
         # preempted) — but a runaway request still stops at a chunk
         # boundary instead of never.
         deadline = self._deadline(timeout)
-        chunks = _run_task(self._inline_model,
+        chunks = _run_task(self._local(),
                            ("chunks", None, None, *spec, trace is not None),
                            {"worker": "inline"})
         for _ in range(n_chunks):
@@ -1435,16 +1427,24 @@ class WorkerPool:
                         batch: Optional[int] = None,
                         seed: Optional[int] = None,
                         timeout: Optional[float] = None):
-        """Run one database draw on a worker; returns a ``Database``."""
+        """Run one database draw on a worker; returns a ``Database``.
+
+        ``scale``, ``sizes``, ``batch`` and ``seed`` are checked here,
+        before dispatch, so a bad value raises :class:`ValueError` at
+        any worker count.
+        """
         if self.kind != KIND_DATABASE:
             raise ServingError(
                 f"model {self.path.name!r} is a single table; use "
                 "sample()")
-        seed = fresh_seed() if seed is None else seed
-        if self._inline_model is not None:
+        scale, sizes = _scale(scale), _sizes(sizes)
+        if batch is not None:
+            _count("batch", batch, minimum=1)
+        seed = _request_seed(seed)
+        if self.workers == 0:
             self._m_dispatch.inc(model=self._model_label)
-            database = self._inline_model.sample(scale, sizes=sizes,
-                                                 batch=batch, seed=seed)
+            database = self._local().sample(scale, sizes=sizes,
+                                            batch=batch, seed=seed)
             self._m_chunks.inc(model=self._model_label, source="inline")
             return database
         deadline = self._deadline(timeout)

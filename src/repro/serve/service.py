@@ -1,15 +1,22 @@
-"""The synthesis service: store + worker pools + admission.
+"""The synthesis service: catalogue + pool registry + admission.
 
 :class:`SynthesisService` is the process-level object a deployment
-holds: it resolves model names through a :class:`ModelStore`, keeps one
-:class:`WorkerPool` per actively-served model (LRU-capped, idle pools
-are shut down), and exposes the sampling entry points the HTTP front
-end (or an embedding application) calls.
+holds: it resolves model names through a :class:`ModelStore` (the
+catalogue, which loads nothing), keeps one :class:`WorkerPool` per
+actively-served model, and exposes the sampling entry points the HTTP
+front end (or an embedding application) calls.  Each pool owns its
+loaded model (in its workers, or in-process at ``workers=0``), so the
+pool registry is the one cache of live models: LRU-capped at
+``pool_capacity``, it shuts down the least recently used idle pool when
+a new model needs one and never one with a request in flight.
 
 Request routing: every request takes the seeded, sharded pool path.
 An unseeded request gets :func:`~repro.api.seeding.fresh_seed` and
 reports it, so every response can be replayed; either way its chunks
 are dispatched to the workers a bounded window ahead of the consumer.
+Request arguments (``n``, ``batch``, ``seed``, ``scale``, ``sizes``)
+are checked before admission, so a bad one is a :class:`ValueError`
+(HTTP 400) at any worker count, never a worker failure.
 
 Admission: at most :data:`MAX_INFLIGHT` requests are in flight at
 once, counted from acceptance until the response ends (a stream until
@@ -33,8 +40,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..api.base import PathLike, _count
-from ..api.seeding import fresh_seed
+from ..api.base import PathLike, _count, _request_seed, _scale, _sizes
 from ..check.lockorder import make_lock
 from ..datasets.schema import Table
 from ..obs import clock as _obs_clock
@@ -116,10 +122,6 @@ class SynthesisService:
         if degraded not in ("reject", "inline"):
             raise ValueError(
                 f"degraded must be 'reject' or 'inline', got {degraded!r}")
-        # The store's LRU cache backs inline (workers=0) pools, which
-        # borrow their loaded model through a refcounted checkout;
-        # worker-process pools load their own copies and only use the
-        # store for name resolution and metadata.
         self.store = ModelStore(root)
         self.workers = _count("workers", workers, minimum=0)
         self.pool_capacity = _count("pool_capacity", pool_capacity,
@@ -133,7 +135,7 @@ class SynthesisService:
         self._pools: "OrderedDict[str, _PoolEntry]" = OrderedDict()
         # Inline fallback pools serving models whose circuit is open
         # (degraded="inline" only); retired when the circuit closes.
-        self._degraded_pools: Dict[str, _PoolEntry] = {}
+        self._degraded_pools: "OrderedDict[str, _PoolEntry]" = OrderedDict()
         # Pools retired by a publish but still serving in-flight
         # requests on the old version; reaped once they drain.
         self._draining: list = []
@@ -169,24 +171,13 @@ class SynthesisService:
     # ------------------------------------------------------------------
     # Pool management
     # ------------------------------------------------------------------
-    def _make_pool(self, name: str, path) -> WorkerPool:
-        if self.workers == 0:
-            handle = self.store.checkout(name)
-            try:
-                return WorkerPool(path, workers=0,
-                                  request_timeout=self.request_timeout,
-                                  inline_model=handle.model,
-                                  on_close=handle.release,
-                                  metrics=self.metrics)
-            except Exception:
-                handle.release()
-                raise
-        return WorkerPool(path, workers=self.workers,
-                          request_timeout=self.request_timeout,
-                          metrics=self.metrics)
-
-    def _pool(self, name: str) -> WorkerPool:
+    def _pool(self, name: str, degraded: bool = False) -> WorkerPool:
         """The (possibly new) pool for ``name``; LRU-evicts idle pools.
+
+        ``degraded`` selects the inline (``workers=0``) fallback served
+        while the model's circuit is open, kept in its own registry
+        outside the LRU cap.  Either pool loads its own copy of the
+        model; output is bit-identical by the sharded-seed contract.
 
         Booting a pool (forking workers, loading arrays) can take
         seconds, so it happens *outside* the registry lock: one cold
@@ -195,10 +186,11 @@ class SynthesisService:
         boot via the entry's ready event.
         """
         path = self.store.path(name)  # raises ModelNotFound early
+        registry = self._degraded_pools if degraded else self._pools
         with self._pools_lock:
             if self._closed:
                 raise ServingError("service is closed")
-            entry = self._pools.get(name)
+            entry = registry.get(name)
             crashed = (entry is not None and entry.ready.is_set()
                        and entry.error is None
                        and not entry.pool.closed and entry.pool.crashed)
@@ -211,21 +203,21 @@ class SynthesisService:
                 # boot a replacement; the breaker counts the crash so
                 # a crash-looping model opens its circuit.
                 self._draining.append(entry)
-                del self._pools[name]
+                del registry[name]
             if usable and entry.path != path:
                 # A publish swapped ACTIVE since this pool booted:
                 # retire it to the draining list (in-flight requests
                 # finish on the old version) and boot a fresh pool on
                 # the new one.
                 self._draining.append(entry)
-                del self._pools[name]
+                del registry[name]
                 usable = False
             if usable:
-                self._pools.move_to_end(name)
+                registry.move_to_end(name)
                 is_loader = False
             else:
                 entry = _PoolEntry(path)
-                self._pools[name] = entry
+                registry[name] = entry
                 is_loader = True
             drained = self._reap_drained_locked()
         for old in drained:
@@ -234,43 +226,46 @@ class SynthesisService:
             breaker = self._breaker(name)
             breaker.record_failure()
             self._note_circuit(name, breaker)
-        if is_loader:
-            try:
-                pool = self._make_pool(name, path)
-            except BaseException as exc:
-                with self._pools_lock:
-                    entry.error = exc
-                    if self._pools.get(name) is entry:
-                        del self._pools[name]
-                entry.ready.set()
-                raise
-            with self._pools_lock:
-                if self._closed:
-                    # The service shut down while this pool booted; it
-                    # was never registered, so close it here.
-                    entry.error = ServingError("service is closed")
-                    self._pools.pop(name, None)
-                    surplus = []
-                else:
-                    entry.pool = pool
-                    surplus = self._pop_surplus_locked(keep=name)
+        if not is_loader:
+            entry.ready.wait()
             if entry.error is not None:
-                pool.close()
-                entry.ready.set()
-                raise entry.error
+                raise ServingError(
+                    f"starting the pool for {name!r} failed: "
+                    f"{entry.error}") from entry.error
+            return entry.pool
+        try:
+            pool = WorkerPool(path, workers=0 if degraded else self.workers,
+                              request_timeout=self.request_timeout,
+                              metrics=self.metrics)
+        except BaseException as exc:
+            with self._pools_lock:
+                entry.error = exc
+                if registry.get(name) is entry:
+                    del registry[name]
             entry.ready.set()
-            # Closing a pool joins worker processes (seconds): do it
-            # after the registry lock is released, for the same reason
-            # pool *boot* happens outside it.
-            for other in surplus:
-                other.close()
-            return pool
-        entry.ready.wait()
+            raise
+        with self._pools_lock:
+            if self._closed:
+                # The service shut down while this pool booted; it was
+                # never registered, so close it here.
+                entry.error = ServingError("service is closed")
+                registry.pop(name, None)
+                surplus = []
+            else:
+                entry.pool = pool
+                surplus = ([] if degraded
+                           else self._pop_surplus_locked(keep=name))
         if entry.error is not None:
-            raise ServingError(
-                f"starting the pool for {name!r} failed: "
-                f"{entry.error}") from entry.error
-        return entry.pool
+            pool.close()
+            entry.ready.set()
+            raise entry.error
+        entry.ready.set()
+        # Closing a pool joins worker processes (seconds): do it after
+        # the registry lock is released, for the same reason pool
+        # *boot* happens outside it.
+        for other in surplus:
+            other.close()
+        return pool
 
     #: Circuit states as gauge values (alert on > 0).
     _CIRCUIT_LEVELS = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
@@ -304,7 +299,7 @@ class SynthesisService:
         if not breaker.allow():
             self._note_circuit(name, breaker)
             if self.degraded == "inline":
-                return self._degraded_pool(name).retain()
+                return self._pool(name, degraded=True).retain()
             raise CircuitOpen(
                 f"circuit for model {name!r} is open after repeated "
                 "pool failures; retry later",
@@ -330,70 +325,6 @@ class SynthesisService:
         raise ServingError(
             f"could not retain a pool for {name!r} (evicted repeatedly); "
             "raise pool_capacity or reduce the number of hot models")
-
-    def _degraded_pool(self, name: str) -> WorkerPool:
-        """The inline (``workers=0``) fallback pool for an open circuit.
-
-        Loads the model in-process through the store's refcounted
-        checkout; output is bit-identical to the worker pool's by the
-        sharded-seed contract, just slower.  Closed via the draining
-        list once the circuit closes (:meth:`_retire_degraded`).
-        """
-        path = self.store.path(name)
-        with self._pools_lock:
-            if self._closed:
-                raise ServingError("service is closed")
-            entry = self._degraded_pools.get(name)
-            usable = entry is not None and (
-                not entry.ready.is_set()
-                or (entry.error is None and not entry.pool.closed))
-            if usable and entry.path != path:
-                self._draining.append(entry)
-                del self._degraded_pools[name]
-                usable = False
-            if usable:
-                is_loader = False
-            else:
-                entry = _PoolEntry(path)
-                self._degraded_pools[name] = entry
-                is_loader = True
-        if not is_loader:
-            entry.ready.wait()
-            if entry.error is not None:
-                raise ServingError(
-                    f"degraded pool for {name!r} failed: "
-                    f"{entry.error}") from entry.error
-            return entry.pool
-        try:
-            handle = self.store.checkout(name)
-            try:
-                pool = WorkerPool(path, workers=0,
-                                  request_timeout=self.request_timeout,
-                                  inline_model=handle.model,
-                                  on_close=handle.release,
-                                  metrics=self.metrics)
-            except BaseException:
-                handle.release()
-                raise
-        except BaseException as exc:
-            with self._pools_lock:
-                entry.error = exc
-                if self._degraded_pools.get(name) is entry:
-                    del self._degraded_pools[name]
-            entry.ready.set()
-            raise
-        with self._pools_lock:
-            if self._closed:
-                entry.error = ServingError("service is closed")
-                self._degraded_pools.pop(name, None)
-            else:
-                entry.pool = pool
-        if entry.error is not None:
-            pool.close()
-            entry.ready.set()
-            raise entry.error
-        entry.ready.set()
-        return pool
 
     def _retire_degraded(self, name: str) -> None:
         """Drop the degraded fallback once the worker pool is healthy."""
@@ -519,10 +450,9 @@ class SynthesisService:
         n = _count("n", n, minimum=1)
         if batch is not None:
             _count("batch", batch, minimum=1)
+        seed = _request_seed(seed)
         self._m_requests.inc(model=name, endpoint="sample")
         started = _obs_clock.perf()
-        if seed is None:
-            seed = fresh_seed()
         try:
             with self._admitted_pool(name) as pool:
                 table = pool.sample(n, batch=batch, seed=seed,
@@ -554,10 +484,9 @@ class SynthesisService:
         n = _count("n", n, minimum=1)
         if batch is not None:
             _count("batch", batch, minimum=1)
+        seed = _request_seed(seed)
         self._m_requests.inc(model=name, endpoint="sample_iter")
         started = _obs_clock.perf()
-        if seed is None:
-            seed = fresh_seed()
 
         def stream():
             try:
@@ -585,11 +514,16 @@ class SynthesisService:
                         sizes: Optional[Dict[str, int]] = None,
                         seed: Optional[int] = None,
                         timeout: Optional[float] = None):
-        """Serve one database request; returns ``(database, seed_used)``."""
+        """Serve one database request; returns ``(database, seed_used)``.
+
+        ``scale`` must be a finite number above 0 and ``sizes`` an
+        object of table -> rows (ints of at least 0); like ``seed``,
+        both are checked before admission.
+        """
+        scale, sizes = _scale(scale), _sizes(sizes)
+        seed = _request_seed(seed)
         self._m_requests.inc(model=name, endpoint="database")
         started = _obs_clock.perf()
-        if seed is None:
-            seed = fresh_seed()
         try:
             with self._admitted_pool(name) as pool:
                 database = pool.sample_database(

@@ -1,4 +1,4 @@
-"""Model store: persisted synthesizers by name, versioned, LRU-cached.
+"""Model store: persisted synthesizers by name, versioned.
 
 A store root is a directory of saved models, one subdirectory per
 model name.  A model directory is either a bare save (legacy layout)
@@ -12,19 +12,17 @@ pointer file naming the one being served::
         v0002/
         ACTIVE            # contains "v0002"
 
-:class:`ModelStore` resolves names through the ``ACTIVE`` pointer,
-reads metadata without loading arrays, and lends out loaded models
-through reference-counted :class:`ModelHandle`\\ s: checkout is
-thread-safe, concurrent checkouts of the same name share one load, and
-LRU eviction only ever drops models with no handle outstanding — an
-in-flight request can never have its model evicted from under it.
+:class:`ModelStore` is the catalogue: it resolves names through the
+``ACTIVE`` pointer and reads metadata without loading arrays.  It holds
+no live models; each :class:`~repro.serve.pool.WorkerPool` loads its
+own copy (:func:`load_model`), and the service's pool registry is the
+one cache of them.
 
 :meth:`ModelStore.publish` is the hot-refresh primitive: it writes a
-new version directory, swaps ``ACTIVE`` atomically (``os.replace``),
-and detaches the cached old version.  Handles checked out before the
-swap keep draining on the old model object — their reference counts
-live on the detached cache entry, not the name — while every checkout
-after the swap loads the new version.
+new version directory and swaps ``ACTIVE`` atomically
+(``os.replace``).  Every name resolution after the swap sees the new
+version; pools booted on the old one keep serving it until the service
+retires them.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ import os
 import pathlib
 import re
 import shutil
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -120,72 +116,25 @@ def read_model_info(name: str, path: PathLike,
                      version=version)
 
 
-class ModelHandle:
-    """A checked-out model; release via ``with`` or :meth:`release`."""
-
-    def __init__(self, store: "ModelStore", name: str, model, entry):
-        self._store = store
-        self.name = name
-        self.model = model
-        self._entry = entry
-        self._released = False
-
-    def release(self) -> None:
-        if not self._released:
-            self._released = True
-            # The handle releases the entry it checked out — which may
-            # have been detached from the cache by a publish since.
-            # Keying the release by name alone would decrement whatever
-            # *newer* version now sits under the name, corrupting both
-            # counts.
-            self._store._release(self.name, self._entry)
-
-    def __enter__(self) -> "ModelHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
-class _Entry:
-    __slots__ = ("model", "refs", "ready", "error")
-
-    def __init__(self):
-        self.model = None
-        self.refs = 0
-        self.ready = threading.Event()
-        self.error: Optional[BaseException] = None
-
-
 class ModelStore:
-    """Name-addressed cache of loaded synthesizers.
+    """Name-addressed catalogue of saved synthesizers.
 
     Parameters
     ----------
     root:
         Directory holding one saved model per subdirectory.
-    capacity:
-        Resident-model budget.  The ``capacity+1``-th distinct checkout
-        evicts the least-recently-used model *with no outstanding
-        handles*; busy models are skipped, so the cache can transiently
-        exceed ``capacity`` under concurrent traffic rather than break
-        an in-flight request.
     """
 
-    def __init__(self, root: PathLike, capacity: int = 4):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, root: PathLike):
         self.root = pathlib.Path(root)
-        self.capacity = capacity
         self._lock = make_lock("store.cache")
-        self._cache: "OrderedDict[str, _Entry]" = OrderedDict()
         self._info_cache: dict = {}
 
     def __getstate__(self):
         raise TypeError(
-            "ModelStore is not picklable: it holds a cache lock and "
-            "checkout refcounts that cannot cross a fork/pickle "
-            "boundary; each process must open its own store")
+            "ModelStore is not picklable: it holds a lock that cannot "
+            "cross a fork/pickle boundary; each process must open its "
+            "own store")
 
     # ------------------------------------------------------------------
     # Catalogue
@@ -285,12 +234,6 @@ class ModelStore:
             return {}
         return state_manifest(arrays)
 
-    def cached_models(self) -> List[str]:
-        """Names currently resident, least- to most-recently used."""
-        with self._lock:
-            return [name for name, entry in self._cache.items()
-                    if entry.ready.is_set() and entry.error is None]
-
     # ------------------------------------------------------------------
     # Publish (hot refresh)
     # ------------------------------------------------------------------
@@ -304,10 +247,9 @@ class ModelStore:
         (``os.replace``), so a crash mid-publish leaves the old version
         serving.  Returns the new version string.
 
-        In-flight checkouts of the old version are unaffected: the old
-        cache entry is detached, its outstanding handles drain on their
-        own reference counts, and the object is garbage-collected when
-        the last one releases.
+        The store loads nothing, so a publish touches no live model:
+        pools already booted on the old version keep serving it until
+        :meth:`SynthesisService.publish` retires them.
         """
         self._check_name(name)
         model_dir = self.root / name
@@ -341,89 +283,4 @@ class ModelStore:
         os.replace(tmp, model_dir / _ACTIVE_FILE)
         with self._lock:
             self._info_cache.pop(name, None)
-            # Detach the old version's entry: outstanding handles keep
-            # it (and their refcounts) alive; new checkouts re-load.
-            self._cache.pop(name, None)
         return version
-
-    # ------------------------------------------------------------------
-    # Checkout
-    # ------------------------------------------------------------------
-    def checkout(self, name: str) -> ModelHandle:
-        """Borrow the loaded model called ``name``.
-
-        Thread-safe: concurrent checkouts share one load (late arrivals
-        block until the loader finishes), and the handle's reference
-        count pins the model against LRU eviction until released.
-        """
-        path = self.path(name)
-        with self._lock:
-            entry = self._cache.get(name)
-            is_loader = entry is None
-            if is_loader:
-                entry = _Entry()
-                self._cache[name] = entry
-            else:
-                self._cache.move_to_end(name)
-            # Count the reference *before* releasing the lock so the
-            # entry is never evictable while this checkout is in flight.
-            entry.refs += 1
-        if is_loader:
-            try:
-                model = load_model(path)
-            except Exception as exc:  # surface to all waiters, then drop
-                with self._lock:
-                    entry.error = exc
-                    entry.refs -= 1
-                    if self._cache.get(name) is entry:
-                        self._cache.pop(name)
-                entry.ready.set()
-                raise
-            with self._lock:
-                entry.model = model
-                self._evict_idle_locked(keep=name)
-            entry.ready.set()
-        else:
-            entry.ready.wait()
-            if entry.error is not None:
-                with self._lock:
-                    entry.refs -= 1
-                raise ServingError(
-                    f"loading model {name!r} failed: {entry.error}"
-                ) from entry.error
-        return ModelHandle(self, name, entry.model, entry)
-
-    def _release(self, name: str, entry: _Entry) -> None:
-        with self._lock:
-            entry.refs -= 1
-            # Detached entries (replaced by a publish) are not in the
-            # cache anymore; they simply garbage-collect when the last
-            # handle lets go.
-            if self._cache.get(name) is entry:
-                self._evict_idle_locked()
-
-    def _evict_idle_locked(self, keep: Optional[str] = None) -> None:
-        over = len(self._cache) - self.capacity
-        if over <= 0:
-            return
-        for name in list(self._cache):
-            if over <= 0:
-                break
-            entry = self._cache[name]
-            if name != keep and entry.refs == 0 and entry.ready.is_set():
-                del self._cache[name]
-                over -= 1
-
-    def evict(self, name: Optional[str] = None) -> None:
-        """Drop a resident model (or all idle ones) from the cache.
-
-        Models with outstanding handles are never dropped; they fall
-        out on release.
-        """
-        with self._lock:
-            names = [name] if name is not None else list(self._cache)
-            for key in names:
-                entry = self._cache.get(key)
-                if entry is not None and entry.refs == 0 \
-                        and entry.ready.is_set():
-                    del self._cache[key]

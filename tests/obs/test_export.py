@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.export import (
     PROMETHEUS_CONTENT_TYPE, parse_prometheus, render_json,
@@ -116,3 +117,104 @@ class TestParsePrometheus:
     def test_unquoted_label_rejected(self):
         with pytest.raises(ValueError, match="quoted"):
             parse_prometheus("x{le=1} 3\n")
+
+
+
+def _key(labels):
+    """A series' labels as a sortable key; ``le`` compares as a number."""
+    return tuple(sorted((name, float(value) if name == "le" else value)
+                        for name, value in labels.items()))
+
+
+def _expected_series(snapshot):
+    """Every series the text format carries for ``snapshot``:
+    ``{series name: {label key: value}}``, histograms expanded into
+    cumulative ``_bucket`` series plus ``_sum`` and ``_count``."""
+    expected = {}
+    for name, entry in snapshot.items():
+        labelnames = tuple(entry["labelnames"])
+        for key, cell in entry["series"].items():
+            labels = dict(zip(labelnames, key))
+            if entry["type"] != "histogram":
+                expected.setdefault(name, {})[_key(labels)] = cell
+                continue
+            cumulative = 0
+            for le, count in zip([*entry["buckets"], math.inf],
+                                 cell["counts"]):
+                cumulative += count
+                expected.setdefault(f"{name}_bucket", {})[
+                    _key({**labels, "le": le})] = cumulative
+            expected.setdefault(f"{name}_sum", {})[_key(labels)] = \
+                cell["sum"]
+            expected.setdefault(f"{name}_count", {})[_key(labels)] = \
+                cell["count"]
+    return expected
+
+
+_LABEL_NAMES = st.lists(st.sampled_from(["model", "endpoint", "error"]),
+                        max_size=2, unique=True)
+_BOUNDED = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def _registries(draw):
+    """A registry of counters, gauges and histograms whose label values
+    and help texts are any text."""
+    registry = MetricsRegistry()
+    kinds = draw(st.lists(st.sampled_from(["counter", "gauge",
+                                           "histogram"]),
+                          min_size=1, max_size=4))
+    for index, kind in enumerate(kinds):
+        name, help_text = f"m{index}_{kind}", draw(st.text())
+        labelnames = draw(_LABEL_NAMES)
+        labels = st.fixed_dictionaries(
+            {label: st.text() for label in labelnames})
+        if kind == "counter":
+            metric = registry.counter(name, help_text, labelnames)
+            for values, amount in draw(st.lists(st.tuples(
+                    labels, st.floats(min_value=0, max_value=1e12)),
+                    max_size=4)):
+                metric.inc(amount, **values)
+        elif kind == "gauge":
+            metric = registry.gauge(name, help_text, labelnames)
+            for values, level in draw(st.lists(
+                    st.tuples(labels, st.floats()), max_size=4)):
+                metric.set(level, **values)
+        else:
+            bounds = draw(st.lists(_BOUNDED, min_size=1, max_size=4,
+                                   unique=True).map(sorted))
+            metric = registry.histogram(name, help_text, labelnames,
+                                        buckets=bounds)
+            for values, value in draw(st.lists(
+                    st.tuples(labels, _BOUNDED), max_size=6)):
+                metric.observe(value, **values)
+    return registry
+
+
+def _line_breaks_in_text():
+    """Characters ``str.splitlines`` breaks on, in a label value and in
+    help texts: none of them is a line break in the text format."""
+    registry = MetricsRegistry()
+    registry.counter("m0_counter", "a\rb",
+                     labelnames=("model",)).inc(2, model="a\rb")
+    registry.gauge("m1_gauge", "c\x0bd", labelnames=("model",)).set(
+        1.5, model="a\u2028b\x1c\x85")
+    return registry
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(registry=_registries())
+    @example(registry=_line_breaks_in_text())
+    def test_parse_reads_back_every_rendered_series(self, registry):
+        snapshot = registry.snapshot()
+        parsed = parse_prometheus(render_prometheus(snapshot))
+        expected = _expected_series(snapshot)
+        assert set(parsed) == set(expected)
+        for name, series in expected.items():
+            got = {_key(labels): value for labels, value in parsed[name]}
+            assert len(got) == len(parsed[name])
+            assert set(got) == set(series), name
+            for key, value in series.items():
+                assert got[key] == value or (
+                    math.isnan(got[key]) and math.isnan(value)), (name, key)

@@ -1,13 +1,15 @@
 """HTTP front end: routes, formats, determinism, error mapping."""
 
 import json
+import math
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import MetricsRegistry, parse_prometheus
-from repro.serve import SynthesisServer, SynthesisService
+from repro.serve import SynthesisServer, SynthesisService, WorkerPool
 
 
 @pytest.fixture(scope="module")
@@ -351,7 +353,8 @@ class TestBufferedRowLimit:
 
 
 class TestOneTelemetrySource:
-    def test_healthz_counts_match_the_metrics_scrape(self, model_root):
+    def test_healthz_counts_match_the_metrics_scrape(self, model_root,
+                                                     monkeypatch):
         """/healthz reads its counts from the registry /metrics renders,
         including for a request that fails after it was accepted."""
         service = SynthesisService(model_root, workers=0,
@@ -359,8 +362,13 @@ class TestOneTelemetrySource:
         with SynthesisServer(service).start() as srv:
             post(srv, "/models/adult-pb/sample", {"n": 25, "seed": 17})
             post(srv, "/models/adult-pb/sample", {"n": 10})
+
+            def fail(pool, *args, **kwargs):
+                raise ValueError("failed after acceptance")
+
+            monkeypatch.setattr(WorkerPool, "sample", fail)
             code, _ = post_error(srv, "/models/adult-pb/sample",
-                                 {"n": 12, "seed": -1})
+                                 {"n": 12, "seed": 1})
             assert code == 400
             health = json.loads(get(srv, "/healthz")[2])
             scrape = parse_prometheus(get(srv, "/metrics")[2].decode())
@@ -393,6 +401,75 @@ class TestStreamedBatchValidation:
         service.close()
         assert not scrape.get("repro_serve_requests_total")
         assert not scrape.get("repro_serve_errors_total")
+
+
+
+#: JSON values of the wrong type for a number or an object.
+_NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
+                          st.lists(st.integers(), max_size=2),
+                          st.dictionaries(st.text(max_size=4),
+                                          st.integers(), max_size=2))
+_NOT_AN_INT = st.one_of(_NOT_A_NUMBER,
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _body(**fields):
+    """A request body where every field may be left out."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+#: Table bodies: every value bounded so a draw stays small (n <= 512).
+_TABLE_BODIES = _body(
+    n=st.one_of(st.integers(max_value=512), _NOT_AN_INT),
+    seed=st.one_of(st.integers(), _NOT_AN_INT),
+    batch=st.one_of(st.integers(max_value=512), _NOT_AN_INT),
+    format=st.one_of(st.sampled_from(["json", "csv"]), _NOT_A_NUMBER),
+    stream=st.one_of(st.booleans(), _NOT_A_NUMBER))
+
+#: Database bodies: scale <= 4 and each size <= 200 (50 real customers).
+_DATABASE_BODIES = _body(
+    scale=st.one_of(st.floats(max_value=4), st.integers(max_value=4),
+                    st.sampled_from([math.nan, math.inf]), _NOT_A_NUMBER),
+    sizes=st.one_of(
+        st.dictionaries(
+            st.one_of(st.sampled_from(["customers", "orders"]),
+                      st.text(max_size=4)),
+            st.one_of(st.integers(max_value=200), _NOT_AN_INT),
+            max_size=3),
+        _NOT_A_NUMBER.filter(lambda value: not isinstance(value, dict))),
+    seed=st.one_of(st.integers(), _NOT_AN_INT))
+
+
+@pytest.fixture(scope="module")
+def worker_server(model_root):
+    service = SynthesisService(model_root, workers=2,
+                               metrics=MetricsRegistry())
+    with SynthesisServer(service).start() as srv:
+        yield srv
+    service.close()
+
+
+class TestRequestArgumentsAtTheEdge:
+    """Any small body, valid or not, gets an answer a client can act
+    on, and the same answer at every worker count: a bad ``seed``,
+    ``scale`` or ``sizes`` is a 400 raised before any task reaches a
+    worker, never a worker failure (500)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(route=st.sampled_from(["table", "database"]), data=st.data())
+    def test_every_body_gets_200_or_4xx(self, worker_server, route, data):
+        model, bodies = (("adult-pb", _TABLE_BODIES) if route == "table"
+                         else ("shop-db", _DATABASE_BODIES))
+        body = data.draw(bodies, label="body")
+        try:
+            status, _, _ = post(worker_server, f"/models/{model}/sample",
+                                body)
+        except urllib.error.HTTPError as exc:
+            status = exc.code
+            detail = json.loads(exc.read())
+        else:
+            detail = None
+        assert status in (200, 400, 404, 413), (body, detail)
 
 
 def read_until_closed(sock) -> bytes:

@@ -220,6 +220,41 @@ class TestValidationAndErrors:
             with pytest.raises(ValueError, match="batch"):
                 pool.sample(10, batch=2.5)
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_bad_draw_arguments_raise_before_dispatch(self, model_root,
+                                                      workers):
+        """The same ValueError at any worker count: nothing reaches a
+        worker, whose failure would come back as a WorkerError."""
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        dispatch = registry.counter("repro_pool_dispatch_total",
+                                    labelnames=("model",))
+        bad_seeds = ["abc", -1, 1.5, True]
+        with WorkerPool(model_root / "adult-pb", workers=workers,
+                        metrics=registry) as pool:
+            for seed in bad_seeds:
+                with pytest.raises(ValueError, match="seed"):
+                    pool.sample(8, seed=seed)
+                with pytest.raises(ValueError, match="seed"):
+                    pool.sample_iter(8, seed=seed)
+        with WorkerPool(model_root / "shop-db", workers=workers,
+                        metrics=registry) as pool:
+            for seed in bad_seeds:
+                with pytest.raises(ValueError, match="seed"):
+                    pool.sample_database(seed=seed)
+            for scale in [-1, 0, float("nan"), float("inf"), 10 ** 400,
+                          "2", True, None]:
+                with pytest.raises(ValueError, match="scale"):
+                    pool.sample_database(scale, seed=1)
+            for sizes in [{"customers": -4}, {"customers": "x"},
+                          {"customers": 2.5}, [("customers", 3)]]:
+                with pytest.raises(ValueError, match="sizes"):
+                    pool.sample_database(sizes=sizes, seed=1)
+            assert dispatch.total() == 0
+            database = pool.sample_database(sizes={"customers": 0}, seed=1)
+            assert len(database["customers"]) == 0
+
     def test_kind_mismatch(self, model_root):
         with WorkerPool(model_root / "adult-pb", workers=0) as pool:
             with pytest.raises(ServingError, match="single table"):

@@ -11,7 +11,7 @@ import pytest
 from repro.api import make_synthesizer
 from repro.obs import MetricsRegistry
 from repro.serve import (
-    ModelNotFound, ModelStore, SynthesisServer, SynthesisService,
+    ModelNotFound, ModelStore, SynthesisServer, SynthesisService, load_model,
 )
 
 from tests.conftest import make_mixed_table
@@ -52,8 +52,7 @@ class TestVersionedStore:
         store = ModelStore(tmp_path)
         assert store.active_version("old-pb") is None
         assert store.info("old-pb").version is None
-        with store.checkout("old-pb") as handle:
-            assert len(handle.model.sample(5, seed=1)) == 5
+        assert len(load_model(store.path("old-pb")).sample(5, seed=1)) == 5
 
     def test_info_cache_invalidated_by_publish(self, tmp_path):
         store = ModelStore(tmp_path)
@@ -73,39 +72,6 @@ class TestVersionedStore:
     def test_unknown_model(self, tmp_path):
         with pytest.raises(ModelNotFound):
             ModelStore(tmp_path).versions("missing")
-
-
-class TestCheckoutAcrossPublish:
-    def test_old_handle_survives_a_publish(self, tmp_path):
-        store = ModelStore(tmp_path)
-        store.publish("pb", fitted_pb(0))
-        old = store.checkout("pb")
-        expected_old = old.model.sample(20, seed=7)
-
-        store.publish("pb", fitted_pb(1))
-        new = store.checkout("pb")
-        # The detached old handle keeps serving the old version.
-        tables_equal(old.model.sample(20, seed=7), expected_old)
-        with pytest.raises(AssertionError):
-            tables_equal(new.model.sample(20, seed=7), expected_old)
-        old.release()
-        new.release()
-
-    def test_release_is_entry_scoped_not_name_scoped(self, tmp_path):
-        # Regression: releasing an old-version handle must not
-        # decrement the refcount of the *new* version now cached under
-        # the same name (which would let LRU evict a busy model).
-        store = ModelStore(tmp_path, capacity=1)
-        store.publish("pb", fitted_pb(0))
-        old = store.checkout("pb")
-        store.publish("pb", fitted_pb(1))
-        new = store.checkout("pb")
-        old.release()
-        old.release()  # double release: still must not touch `new`
-        entry = store._cache["pb"]
-        assert entry.refs == 1
-        new.release()
-        assert entry.refs == 0
 
 
 class TestServicePublish:

@@ -3,15 +3,19 @@ request holds its slot (and its pool) exactly until it ends."""
 
 import gc
 import json
+import shutil
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.obs import MetricsRegistry, parse_prometheus
-from repro.serve import BackpressureError, SynthesisServer, SynthesisService
+from repro.serve import (
+    BackpressureError, SynthesisServer, SynthesisService, WorkerPool,
+)
 from repro.serve import service as service_module
 
 
@@ -82,16 +86,40 @@ class TestInflightBound:
     def test_a_request_failing_after_admission_frees_its_slot(
             self, service, monkeypatch):
         monkeypatch.setattr(service_module, "MAX_INFLIGHT", 1)
-        with pytest.raises(ValueError):
-            service.sample("adult-pb", 8, seed=-1)
-        assert inflight(service) == 0
-        chunks, _ = service.sample_iter("adult-pb", 8, seed=-1)
-        with pytest.raises(ValueError):
-            next(chunks)
-        assert inflight(service) == 0
+
+        def fail(pool, *args, **kwargs):
+            # Admitted and holding its pool when it fails.
+            assert inflight(service) == 1
+            assert service.active_pools() == {"adult-pb": 1}
+            raise ValueError("failed after admission")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WorkerPool, "sample", fail)
+            patch.setattr(WorkerPool, "sample_iter", fail)
+            with pytest.raises(ValueError, match="after admission"):
+                service.sample("adult-pb", 8, seed=5)
+            assert inflight(service) == 0
+            chunks, _ = service.sample_iter("adult-pb", 8, seed=5)
+            with pytest.raises(ValueError, match="after admission"):
+                next(chunks)
+            assert inflight(service) == 0
         assert service.active_pools() == {"adult-pb": 0}
         table, _ = service.sample("adult-pb", 8, seed=5)
         assert len(table) == 8
+
+    @pytest.mark.parametrize("seed", ["abc", -1, 1.5, True])
+    def test_a_bad_seed_is_refused_before_admission(self, service,
+                                                    monkeypatch, seed):
+        monkeypatch.setattr(service_module, "MAX_INFLIGHT", 0)
+        # With no slot to admit into, only a check made before
+        # admission can raise ValueError rather than BackpressureError.
+        for request in (
+                lambda: service.sample("adult-pb", 8, seed=seed),
+                lambda: service.sample_iter("adult-pb", 8, seed=seed),
+                lambda: service.sample_database("shop-db", seed=seed)):
+            with pytest.raises(ValueError, match="seed"):
+                request()
+        assert refused(service) == 0
 
     def test_concurrent_requests_never_pass_the_bound(self, service,
                                                       monkeypatch):
@@ -181,3 +209,86 @@ class TestBoundOverHTTP:
             with urllib.request.urlopen(f"{server.url}/healthz",
                                         timeout=30) as resp:
                 assert json.loads(resp.read())["inflight"] == 0
+
+
+class TestPoolRegistry:
+    """The service's pool registry is the one cache of live models: an
+    LRU of pools, each owning its loaded model."""
+
+    @staticmethod
+    def registry(model_root, pool_capacity=1):
+        return SynthesisService(model_root, workers=0,
+                                pool_capacity=pool_capacity,
+                                metrics=MetricsRegistry())
+
+    @staticmethod
+    def live(service):
+        return {name: entry.pool for name, entry in service._pools.items()}
+
+    def test_eviction_closes_the_least_recently_used_idle_pool(
+            self, model_root):
+        with self.registry(model_root, pool_capacity=2) as service:
+            for name in ("adult-pb", "adult-vae", "adult-pb"):
+                service.sample(name, 4, seed=1)
+            vae = self.live(service)["adult-vae"]
+            service.sample("adult-gan", 4, seed=1)
+            # vae was least recently used when gan needed a pool.
+            assert list(self.live(service)) == ["adult-pb", "adult-gan"]
+            assert vae.closed
+
+    def test_a_pool_with_a_request_in_flight_is_never_evicted(
+            self, model_root):
+        with self.registry(model_root) as service:
+            held, _ = service.sample_iter("adult-pb", 64, batch=16, seed=1)
+            busy = self.live(service)["adult-pb"]
+            service.sample("adult-vae", 4, seed=1)
+            # Over capacity rather than closing the busy pool.
+            assert service.active_pools() == {"adult-pb": 1, "adult-vae": 0}
+            assert sum(len(chunk) for chunk in held) == 64
+            service.sample("adult-gan", 4, seed=1)
+            assert service.active_pools() == {"adult-gan": 0}
+            assert busy.closed
+
+    def test_concurrent_requests_for_a_cold_model_share_one_boot(
+            self, model_root, monkeypatch):
+        boots = []
+
+        class CountingPool(WorkerPool):
+            def __init__(self, *args, **kwargs):
+                boots.append(args[0])
+                # Hold the boot open so every request arrives during it.
+                time.sleep(0.2)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "WorkerPool", CountingPool)
+        start, tables = threading.Barrier(4), []
+
+        def client():
+            start.wait()
+            tables.append(service.sample("adult-pb", 8, seed=2)[0])
+
+        with self.registry(model_root) as service:
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+            assert len(boots) == 1
+            assert len(tables) == 4
+            assert service.active_pools() == {"adult-pb": 0}
+
+    def test_a_failed_boot_is_not_registered(self, model_root, tmp_path):
+        shutil.copytree(model_root / "adult-pb", tmp_path / "pb")
+        arrays = tmp_path / "pb" / "arrays.npz"
+        arrays.rename(tmp_path / "arrays.npz")
+        with self.registry(tmp_path) as service:
+            with pytest.raises(FileNotFoundError):
+                service.sample("pb", 4, seed=1)
+            assert service.active_pools() == {}
+            assert "pb" not in service._pools
+            # The next request boots again, and now succeeds.
+            (tmp_path / "arrays.npz").rename(arrays)
+            table, _ = service.sample("pb", 4, seed=1)
+            assert len(table) == 4
+            assert service.active_pools() == {"pb": 0}

@@ -1,11 +1,8 @@
-"""Model store: catalogue, LRU eviction, refcounted checkout."""
-
-import threading
+"""Model store: the catalogue of saved models by name."""
 
 import pytest
 
 from repro.serve import ModelNotFound, ModelStore
-from repro.serve import store as store_module
 
 
 class TestCatalogue:
@@ -31,77 +28,3 @@ class TestCatalogue:
 
     def test_empty_root(self, tmp_path):
         assert ModelStore(tmp_path / "nowhere").list_models() == []
-
-
-class TestCheckout:
-    def test_checkout_returns_working_model(self, model_root):
-        store = ModelStore(model_root)
-        with store.checkout("adult-pb") as handle:
-            table = handle.model.sample(12, seed=1)
-            assert len(table) == 12
-        assert store.cached_models() == ["adult-pb"]
-
-    def test_lru_eviction_order(self, model_root):
-        store = ModelStore(model_root, capacity=2)
-        for name in ("adult-pb", "adult-vae", "adult-pb", "adult-gan"):
-            store.checkout(name).release()
-        # vae was least recently used when gan forced the eviction.
-        assert store.cached_models() == ["adult-pb", "adult-gan"]
-
-    def test_busy_models_survive_eviction(self, model_root):
-        store = ModelStore(model_root, capacity=1)
-        held = store.checkout("adult-pb")
-        store.checkout("adult-vae").release()
-        # The held model was not evictable; the cache exceeded capacity
-        # rather than dropping it.
-        assert "adult-pb" in store.cached_models()
-        held.release()
-        store.checkout("adult-gan").release()
-        assert len(store.cached_models()) == 1
-
-    def test_concurrent_checkouts_share_one_load(self, model_root,
-                                                 monkeypatch):
-        store = ModelStore(model_root)
-        loads = []
-        real_load = store_module.load_model
-
-        def counting_load(path):
-            loads.append(path)
-            return real_load(path)
-
-        monkeypatch.setattr(store_module, "load_model", counting_load)
-        handles = [None] * 4
-
-        def checkout(i):
-            handles[i] = store.checkout("adult-pb")
-
-        threads = [threading.Thread(target=checkout, args=(i,))
-                   for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(loads) == 1
-        models = {id(handle.model) for handle in handles}
-        assert len(models) == 1
-        for handle in handles:
-            handle.release()
-
-    def test_failed_load_not_cached(self, tmp_path, model_root):
-        store = ModelStore(model_root)
-        # Break a copy of the metadata so the load itself fails.
-        import shutil
-
-        broken = tmp_path / "broken"
-        shutil.copytree(model_root / "adult-pb", broken)
-        (broken / "arrays.npz").unlink()
-        store2 = ModelStore(tmp_path)
-        with pytest.raises(Exception):
-            store2.checkout("broken")
-        assert store2.cached_models() == []
-
-    def test_explicit_evict(self, model_root):
-        store = ModelStore(model_root)
-        store.checkout("adult-pb").release()
-        store.evict("adult-pb")
-        assert store.cached_models() == []
