@@ -23,7 +23,7 @@ connection, no third-party web stack.  Endpoints:
 
     and for a **database** model::
 
-        {"scale": 1.0, "sizes": {"orders": 200}, "seed": 17}
+        {"scale": 1.0, "sizes": {"customers": 200}, "seed": 17}
 
     ``seed`` makes the response reproducible (and is echoed back);
     an unseeded request reports the fresh seed the service assigned

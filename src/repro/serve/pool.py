@@ -14,10 +14,12 @@ stream ``sample_iter`` yields.  Database requests are not sharded (a
 database draw is a sequential parents-first walk); they run whole on
 one worker, with parallelism coming from concurrent requests.
 
-Every task runs one way (:func:`_run_task`), in a worker, in the
-parent's inline fallback, and in a ``workers=0`` pool alike: its chunks
-are sampled, CSV rows are attached when the task is flagged, and one
-chunk span is stamped over both.
+Every task runs one way (:func:`_run_task`), in a worker or in the
+parent's :meth:`WorkerPool._run_inline_task`: its chunks are sampled,
+CSV rows are attached when the task is flagged, and one chunk span is
+stamped over both.  The parent runs tasks once every worker slot has
+retired (the *takeover*); a ``workers=0`` pool is in takeover from
+boot, so its requests take a worker pool's dispatch and wait path.
 
 Transport: every worker slot gets its **own pair of pipes** (tasks
 down, results up).  A shared ``mp.Queue`` cannot survive worker death —
@@ -42,9 +44,9 @@ Fault tolerance (the self-healing layer):
   :class:`repro.serve.circuit.RespawnBackoff`; repeated boot failures
   retire the slot instead of hot-looping fork+load.
 * **Poison-chunk isolation.**  A chunk whose execution keeps killing
-  workers is retried at most ``chunk_retry_budget`` times, then fails
-  *that request* with :class:`WorkerError` — one bad request cannot
-  take the pool down.
+  workers is retried at most :data:`DEFAULT_CHUNK_RETRY_BUDGET` times,
+  then fails *that request* with :class:`WorkerError` — one bad request
+  cannot take the pool down.
 * **Event-driven supervision.**  Death detection blocks in
   ``multiprocessing.connection.wait`` on process sentinels; the result
   receiver blocks the same way on the result pipes.  An idle pool burns
@@ -112,13 +114,13 @@ from .store import (KIND_DATABASE, KIND_TABLE, load_model, model_kind,
 
 #: Handshake budget: covers the worker's model load (arrays from disk).
 DEFAULT_START_TIMEOUT = 120.0
-#: Per-request budget when the caller does not pass ``timeout=``.
+#: Budget for each chunk wait when the caller does not pass ``timeout=``.
 DEFAULT_REQUEST_TIMEOUT = 300.0
 #: Chunk-retry ceiling before a request is failed as a poison chunk.
 DEFAULT_CHUNK_RETRY_BUDGET = 2
 #: Consecutive boot failures before a worker slot is retired.
 DEFAULT_MAX_BOOT_FAILURES = 3
-#: Default supervision event-ring size (overridable via ``event_ring=``).
+#: Supervision events kept for :meth:`WorkerPool.status`.
 DEFAULT_EVENT_RING = 16
 #: Fallback delay between a death and requeueing its claims if the
 #: receiver cannot confirm the dead worker's result pipe is drained
@@ -451,29 +453,16 @@ class WorkerPool:
         Saved model directory (``Synthesizer.save`` or
         ``DatabaseSynthesizer.save`` layout).
     workers:
-        Worker process count.  ``0`` runs inline in the calling process
-        on the pool's own loaded copy of the model (no multiprocessing;
-        identical output by the sharded-seed contract) — useful for
-        tests, single-core deployments, and the service's degraded
-        fallback.
+        Worker process count.  ``0`` runs every task in the requesting
+        thread on the pool's own loaded copy of the model (no
+        multiprocessing; identical output by the sharded-seed contract)
+        — useful for tests, single-core deployments, and the service's
+        degraded fallback.  Such a pool is in takeover from boot.
     request_timeout:
-        Default per-request deadline in seconds (overridable per call).
-    respawn:
-        Respawn dead workers in place, on the exponential
-        :class:`repro.serve.circuit.RespawnBackoff` schedule (0.25s
-        doubling to a 15s cap); :data:`DEFAULT_MAX_BOOT_FAILURES`
-        consecutive boot failures (death before reporting ready) retire
-        a slot instead.  ``False`` restores crash-fail supervision: any
-        worker death retires its slot.
-    chunk_retry_budget:
-        How many times one chunk may be requeued after worker deaths
-        before its request fails with :class:`WorkerError` (poison-chunk
-        isolation).
-    inline_fallback:
-        When every slot is retired, drain in-flight requests inline in
-        the parent (bit-identical, slower) instead of failing them.
-        Either way the pool is then *crashed*: new requests raise
-        :class:`PoolClosed` and the service layer replaces the pool.
+        Default deadline in seconds for each chunk wait (overridable
+        per call): a request fails with :class:`RequestTimeout` when its
+        next chunk takes longer, while a stream that keeps delivering
+        has no overall bound.
     metrics:
         :class:`repro.obs.MetricsRegistry` for the supervision counters
         (dispatches, chunk deliveries/retries, deaths, respawns) and
@@ -483,9 +472,16 @@ class WorkerPool:
         :meth:`status` reads its counts back for the pool's label, so
         with a shared registry they are per-model lifetime counts: a
         replacement pool reports its predecessor's retries too.
-    event_ring:
-        Capacity of the supervision event ring surfaced by
-        :meth:`status` (events are stamped via :mod:`repro.obs.clock`).
+
+    Supervision has no options: dead workers respawn on the
+    :class:`repro.serve.circuit.RespawnBackoff` schedule (0.25s doubling
+    to a 15s cap), :data:`DEFAULT_MAX_BOOT_FAILURES` consecutive boot
+    failures retire a slot, and a chunk requeued more than
+    :data:`DEFAULT_CHUNK_RETRY_BUDGET` times fails its request with
+    :class:`WorkerError`.  Once every slot has retired, the parent
+    finishes in-flight requests inline (bit-identical, slower) and the
+    pool is *crashed*: new requests raise :class:`PoolClosed` and the
+    service layer replaces the pool.
     """
 
     def __getstate__(self):
@@ -496,28 +492,20 @@ class WorkerPool:
 
     def __init__(self, path: PathLike, workers: int = 1, *,
                  request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-                 start_timeout: float = DEFAULT_START_TIMEOUT,
-                 respawn: bool = True,
-                 chunk_retry_budget: int = DEFAULT_CHUNK_RETRY_BUDGET,
-                 inline_fallback: bool = True,
-                 metrics=None, event_ring: int = DEFAULT_EVENT_RING):
+                 metrics=None):
         workers = _count("workers", workers, minimum=0)
-        event_ring = _count("event_ring", event_ring, minimum=1)
-        chunk_retry_budget = _count("chunk_retry_budget",
-                                    chunk_retry_budget, minimum=0)
         self.path = pathlib.Path(path)
         self.kind = model_kind(self.path)
         if self.kind is None:
             raise ServingError(f"no saved synthesizer at {self.path}")
         self.workers = workers
         self.request_timeout = request_timeout
-        self.respawn = respawn
         self._backoff = RespawnBackoff()
-        self.chunk_retry_budget = chunk_retry_budget
-        self.inline_fallback = inline_fallback
         self._closed = False
         self._crashed = False
-        self._takeover = False
+        # A workers=0 pool has no slot to dispatch to: it is in takeover
+        # from boot, and never crashes.
+        self._takeover = workers == 0
         self._ids = itertools.count()
         self._lock = make_lock("pool.pending")
         self._pending: Dict[int, _Pending] = {}
@@ -527,7 +515,7 @@ class WorkerPool:
         self._meta: Dict[str, object] = {}
         self._slots: List[_WorkerSlot] = []
         self._events: collections.deque = collections.deque(
-            maxlen=event_ring)
+            maxlen=DEFAULT_EVENT_RING)
         metrics = MetricsRegistry() if metrics is None else metrics
         self._model_label = model_name(self.path)
         self._m_dispatch = metrics.counter(
@@ -562,7 +550,7 @@ class WorkerPool:
         # its model's series with the live one, and the gauge is their sum.
         self._m_inflight = metrics.gauge(
             "repro_pool_inflight",
-            "Requests executing or reserved against the pool.",
+            "Requests holding the pool.",
             labelnames=("model",))
         self._fallback_lock = make_lock("pool.fallback")
         self._local_model = None
@@ -598,7 +586,7 @@ class WorkerPool:
             target=self._supervise_loop, daemon=True,
             name=f"repro-serve-mon-{self.path.name}")
         self._supervisor.start()
-        self._await_boot(start_timeout)
+        self._await_boot(DEFAULT_START_TIMEOUT)
 
     # ------------------------------------------------------------------
     # Startup / shutdown
@@ -690,11 +678,11 @@ class WorkerPool:
         incarnation's result pipe (so already-produced chunks are not
         re-executed), requeue its claimed-but-undelivered chunks,
         schedule a respawn with exponential backoff — or retire the
-        slot — and, if every slot is retired, either drain in-flight
-        requests inline (``inline_fallback``) or fail them; either way
-        the pool is then *crashed* and rejects new work.  A worker that
-        dies during initial boot fails startup fast instead (no
-        respawn), matching load-error behaviour.
+        slot — and, if every slot is retired, take over: in-flight
+        requests finish inline in the parent, and the pool is *crashed*
+        and rejects new work.  A worker that dies during initial boot
+        fails startup fast instead (no respawn), matching load-error
+        behaviour.
         """
         while True:
             with self._lock:
@@ -762,8 +750,7 @@ class WorkerPool:
                                exitcode=process.exitcode,
                                ready=slot.ready)
             self._m_deaths.inc(model=self._model_label)
-            if not self.respawn or \
-                    slot.boot_failures >= DEFAULT_MAX_BOOT_FAILURES:
+            if slot.boot_failures >= DEFAULT_MAX_BOOT_FAILURES:
                 slot.retired = True
                 self._record_event("retired", slot=slot.slot,
                                    boot_failures=slot.boot_failures)
@@ -811,14 +798,14 @@ class WorkerPool:
         over_budget = None
         for index in todo:
             pending.retries[index] = pending.retries.get(index, 0) + 1
-            if pending.retries[index] > self.chunk_retry_budget and \
+            if pending.retries[index] > DEFAULT_CHUNK_RETRY_BUDGET and \
                     over_budget is None:
                 over_budget = index
         self._m_retries.inc(len(todo), model=self._model_label)
         if over_budget is not None:
             pending.fail(
                 f"chunk {over_budget} exceeded its retry budget of "
-                f"{self.chunk_retry_budget} (poison chunk?); last "
+                f"{DEFAULT_CHUNK_RETRY_BUDGET} (poison chunk?); last "
                 f"failure: {detail}")
             self._cancel(req_id)
             self._record_event("poison_chunk", request=req_id,
@@ -882,16 +869,10 @@ class WorkerPool:
             if not all(slot.retired for slot in self._slots):
                 return
             self._crashed = True
-            self._takeover = self.inline_fallback
+            self._takeover = True
             self._backlog.clear()  # covered by the undelivered drain
             pendings = dict(self._pending)
-        self._record_event("crashed",
-                           inline_fallback=self.inline_fallback)
-        if not self.inline_fallback:
-            for request in pendings.values():
-                request.fail("all worker slots retired and inline "
-                             "fallback is disabled")
-            return
+        self._record_event("crashed")
         # Last-resort drain: finish everything already dispatched but
         # undelivered, inline in the parent.  Undispatched chunks are
         # routed inline by _dispatch from here on.
@@ -904,43 +885,48 @@ class WorkerPool:
     def _local(self):
         """The pool's own in-process copy of the model.
 
-        A ``workers=0`` pool loads it at boot and samples on it in the
-        caller's thread; a worker pool loads it on its first inline
-        recovery, under ``_fallback_lock``.  Worker id ``self.workers``
-        is outside the slot range; by the sharded-seed contract the
-        sampler identity never affects chunk content.
+        A ``workers=0`` pool loads it at boot; a worker pool loads it on
+        its first inline recovery.  ``_fallback_lock`` guards only this
+        load: tasks then sample on the copy concurrently, each in its
+        own thread.  Worker id ``self.workers`` is outside the slot
+        range; by the sharded-seed contract the sampler identity never
+        affects chunk content.
         """
-        if self._local_model is None:
-            self._local_model = load_model(
-                self.path).spawn_sampler(self.workers)
-        return self._local_model
+        with self._fallback_lock:
+            if self._local_model is None:
+                self._local_model = load_model(
+                    self.path).spawn_sampler(self.workers)
+            return self._local_model
 
     def _run_inline_task(self, task: tuple) -> None:
-        """Execute one task in the parent, delivering to its pending.
+        """Run one task in the calling thread, delivering to its pending.
 
-        Serialized on ``_fallback_lock`` (supervisor drain and caller
-        threads may race here after a takeover).
+        The one routine that runs work in the parent: every task of a
+        ``workers=0`` pool, in the requesting thread, and a worker
+        pool's takeover, in the supervisor's drain and in the requesting
+        threads.  A failure fails the request as a worker's does; only
+        a worker pool's takeover counts as an inline recovery.
         """
         req_id = task[1]
         with self._lock:
             pending = self._pending.get(req_id)
             cancelled = req_id in self._cancelled
-        self._m_inline.inc(model=self._model_label)
+        if self.workers:
+            self._m_inline.inc(model=self._model_label)
         if pending is None or cancelled:
             return
         try:
-            with self._fallback_lock:
-                for index, payload, span in _run_task(
-                        self._local(), task, {"worker": "inline"}):
-                    if self._closed:
-                        return
-                    pending.stitch(index, span)
-                    self._m_chunks.inc(model=self._model_label,
-                                       source="inline")
-                    pending.deliver(index, payload)
+            for index, payload, span in _run_task(
+                    self._local(), task, {"worker": "inline"}):
+                if self._closed:
+                    return
+                pending.stitch(index, span)
+                self._m_chunks.inc(model=self._model_label,
+                                   source="inline")
+                pending.deliver(index, payload)
         except Exception as exc:
-            pending.fail(f"inline recovery failed: "
-                         f"{type(exc).__name__}: {exc}")
+            pending.fail(f"{type(exc).__name__}: {exc}")
+            self._cancel(req_id)
 
     def _cancel(self, req_id: int) -> None:
         """Mark a request dead so queued work for it is shed everywhere.
@@ -1163,7 +1149,9 @@ class WorkerPool:
 
     @property
     def inflight(self) -> int:
-        """Requests executing or reserved (used for idle-pool eviction)."""
+        """Requests holding the pool through :meth:`retain` (the pin the
+        service's idle-pool eviction reads).  A pool used without the
+        service reads 0 here while it serves a request."""
         with self._lock:
             return self._inflight
 
@@ -1238,21 +1226,17 @@ class WorkerPool:
             req_id = next(self._ids)
             pending = _Pending(expected, kind, spec, trace=trace)
             self._pending[req_id] = pending
-            self._inflight += 1
-        self._m_inflight.inc(model=self._model_label)
         return req_id, pending
 
     def _end(self, req_id: int) -> None:
         with self._lock:
             pending = self._pending.pop(req_id, None)
-            self._inflight -= 1
-        self._m_inflight.dec(model=self._model_label)
         if pending is None:
             return
         with pending.cond:
             unfinished = (pending.error is not None
                           or len(pending.delivered) < pending.expected)
-        if unfinished and self._slots:
+        if unfinished:
             # Abandoned mid-flight (error, timeout, dropped stream):
             # shed whatever is still queued for it.
             self._cancel(req_id)
@@ -1277,7 +1261,8 @@ class WorkerPool:
 
     def _dispatch(self, req_id: int, pending: _Pending,
                   indices: List[int]) -> None:
-        """Route chunk indices to a worker, the backlog, or inline."""
+        """Route chunk indices to a worker, the backlog, or inline (a
+        takeover runs the task before this returns)."""
         task = pending.task_for(req_id, indices)
         self._m_dispatch.inc(len(indices), model=self._model_label)
         with self._lock:
@@ -1331,7 +1316,8 @@ class WorkerPool:
         yields, so the result equals ``load_model(path).sample(n,
         batch=batch, seed=seed)`` exactly.  Unseeded requests get a
         fresh request seed (reported by the service layer) so they
-        shard the same way.
+        shard the same way.  ``timeout`` bounds each chunk wait, as it
+        does for the stream, not the whole request.
 
         ``trace`` (a :class:`repro.obs.Trace`) collects one span per
         chunk, timed in the worker that generated it and shipped back
@@ -1354,6 +1340,10 @@ class WorkerPool:
         workers race ahead and re-materialize the whole table in memory.
         Called inside :func:`repro.serve.encoding.csv_at_source`, each
         chunk also carries its CSV rows, encoded where it was generated.
+
+        ``timeout`` bounds each chunk wait: a chunk that takes longer
+        fails the stream with :class:`RequestTimeout`, while a stream
+        that keeps delivering chunks runs as long as its consumer reads.
         """
         return self._stream(n, batch, seed, timeout, trace)
 
@@ -1361,57 +1351,30 @@ class WorkerPool:
                 timeout: Optional[float], trace) -> Iterator[Table]:
         # sample() reaches the stream here, never through the public
         # sample_iter(), so a wrapper around either method sees each
-        # request once.
+        # request once.  The arguments are checked here, at the call;
+        # the request starts on the first next().
         n = _count("n", n, minimum=1)
         batch, plan = self._table_plan(n, batch)
         spec = (n, batch, _request_seed(seed),
                 encoding.csv_wanted_at_source())
-        if self.workers == 0:
-            with self._lock:
-                if self._closed:
-                    raise PoolClosed(
-                        f"pool for {self.path.name} is closed")
-            return self._iter_inline(spec, len(plan), timeout, trace)
-        return self._stream_from_workers(spec, len(plan), timeout, trace)
+        return self._windowed(spec, len(plan), timeout, trace)
 
-    def _iter_inline(self, spec: tuple, n_chunks: int,
-                     timeout: Optional[float], trace) -> Iterator[Table]:
-        # Best-effort deadline: generation runs on the caller's thread,
-        # so the check lands between chunks (a single chunk cannot be
-        # preempted) — but a runaway request still stops at a chunk
-        # boundary instead of never.
-        deadline = self._deadline(timeout)
-        chunks = _run_task(self._local(),
-                           ("chunks", None, None, *spec, trace is not None),
-                           {"worker": "inline"})
-        for _ in range(n_chunks):
-            # Counted before the chunk runs, as a worker dispatch is.
-            self._m_dispatch.inc(model=self._model_label)
-            _, chunk, span = next(chunks)
-            if deadline is not None and _obs_clock.monotonic() > deadline:
-                raise RequestTimeout(
-                    "inline request passed its deadline mid-stream")
-            if span is not None:
-                trace.add(span)
-            self._m_chunks.inc(model=self._model_label, source="inline")
-            yield chunk
-
-    def _stream_from_workers(self, spec: tuple, n_chunks: int,
-                             timeout: Optional[float],
-                             trace) -> Iterator[Table]:
-        deadline = self._deadline(timeout)
+    def _windowed(self, spec: tuple, n_chunks: int,
+                  timeout: Optional[float], trace) -> Iterator[Table]:
         req_id, pending = self._begin(expected=n_chunks, kind="chunks",
                                       spec=spec, trace=trace)
         try:
             # One task per chunk, dispatched a bounded window ahead of
             # the consumer, so parent-side buffering never exceeds
-            # ~window chunks however slow the reader is.
+            # ~window chunks however slow the reader is.  In takeover
+            # each dispatch runs its chunk before returning, so the
+            # window is also how far a workers=0 stream runs ahead.
             window = max(2 * self.workers, 4)
             submitted = min(window, n_chunks)
             for index in range(submitted):
                 self._dispatch(req_id, pending, [index])
             for index in range(n_chunks):
-                chunk = pending.wait_index(index, deadline)
+                chunk = pending.wait_index(index, self._deadline(timeout))
                 if submitted < n_chunks:
                     self._dispatch(req_id, pending, [submitted])
                     submitted += 1
@@ -1431,7 +1394,7 @@ class WorkerPool:
 
         ``scale``, ``sizes``, ``batch`` and ``seed`` are checked here,
         before dispatch, so a bad value raises :class:`ValueError` at
-        any worker count.
+        any worker count.  ``timeout`` bounds the wait for the draw.
         """
         if self.kind != KIND_DATABASE:
             raise ServingError(
@@ -1441,17 +1404,10 @@ class WorkerPool:
         if batch is not None:
             _count("batch", batch, minimum=1)
         seed = _request_seed(seed)
-        if self.workers == 0:
-            self._m_dispatch.inc(model=self._model_label)
-            database = self._local().sample(scale, sizes=sizes,
-                                            batch=batch, seed=seed)
-            self._m_chunks.inc(model=self._model_label, source="inline")
-            return database
-        deadline = self._deadline(timeout)
         req_id, pending = self._begin(expected=1, kind="database",
                                       spec=(scale, sizes, batch, seed))
         try:
             self._dispatch(req_id, pending, [0])
-            return pending.wait_index(0, deadline)
+            return pending.wait_index(0, self._deadline(timeout))
         finally:
             self._end(req_id)

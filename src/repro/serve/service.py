@@ -89,16 +89,16 @@ class SynthesisService:
         How many models may have live worker pools at once; the LRU
         idle pool is shut down when a new model needs one.
     request_timeout:
-        Default per-request deadline (seconds).
+        Default deadline in seconds for each chunk wait
+        (:class:`~repro.serve.errors.RequestTimeout`, HTTP 504, when a
+        chunk takes longer); a stream that keeps delivering chunks is
+        never cut.
     degraded:
         What happens while a model's circuit is open: ``"reject"``
         (default) fails fast with :class:`CircuitOpen`;
         ``"inline"`` serves requests from a slower in-process pool
         (bit-identical output — the sharded-seed contract holds at
         ``workers=0``) until the worker pool heals.
-    circuit_factory:
-        Callable returning a fresh :class:`CircuitBreaker` per model;
-        injectable so tests can use thresholds and a fake clock.
     metrics:
         :class:`repro.obs.MetricsRegistry` the service records into
         (request latency histograms, row/error counters, the in-flight
@@ -117,8 +117,7 @@ class SynthesisService:
     def __init__(self, root: PathLike, *, workers: int = 2,
                  pool_capacity: int = 4,
                  request_timeout: float = 60.0,
-                 degraded: str = "reject",
-                 circuit_factory=None, metrics=None):
+                 degraded: str = "reject", metrics=None):
         if degraded not in ("reject", "inline"):
             raise ValueError(
                 f"degraded must be 'reject' or 'inline', got {degraded!r}")
@@ -128,8 +127,6 @@ class SynthesisService:
                                     minimum=1)
         self.request_timeout = request_timeout
         self.degraded = degraded
-        self._circuit_factory = (CircuitBreaker if circuit_factory is None
-                                 else circuit_factory)
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breakers_lock = make_lock("service.breakers")
         self._pools: "OrderedDict[str, _PoolEntry]" = OrderedDict()
@@ -274,7 +271,7 @@ class SynthesisService:
         with self._breakers_lock:
             breaker = self._breakers.get(name)
             if breaker is None:
-                breaker = self._breakers[name] = self._circuit_factory()
+                breaker = self._breakers[name] = CircuitBreaker()
                 self._m_circuit.set(0.0, model=name)
             return breaker
 

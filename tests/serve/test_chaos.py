@@ -22,6 +22,7 @@ from repro.serve import (
     RespawnBackoff, ServingError, SynthesisServer, SynthesisService,
     WorkerError, WorkerPool, load_model,
 )
+from repro.serve import service as service_module
 
 TABLE_MODELS = ("adult-gan", "adult-vae", "adult-pb")
 
@@ -39,6 +40,10 @@ def set_plan(monkeypatch, *rules, seed=0):
 
 KILL_AFTER_2 = {"on": "chunk", "worker": 0, "after": 2, "action": "kill",
                 "incarnations": [0], "times": 1}
+# Every respawn (incarnations 1-3) dies at boot, so after a death the
+# slot retires on DEFAULT_MAX_BOOT_FAILURES (3) and the pool takes over.
+RESPAWNS_DIE_AT_BOOT = {"on": "boot", "action": "kill",
+                        "incarnations": [1, 2, 3]}
 
 
 class TestPlanParsing:
@@ -188,10 +193,9 @@ class TestTracedKill:
         from repro.obs.trace import Trace
 
         path = model_root / "adult-pb"
-        set_plan(monkeypatch, KILL_AFTER_2)
+        set_plan(monkeypatch, KILL_AFTER_2, RESPAWNS_DIE_AT_BOOT)
         trace = Trace("inline")
-        pool = WorkerPool(path, workers=1, request_timeout=60.0,
-                          respawn=False, inline_fallback=True)
+        pool = WorkerPool(path, workers=1, request_timeout=60.0)
         try:
             pool.sample(96, batch=8, seed=5, trace=trace)
             assert pool.status()["inline_recoveries"] >= 1
@@ -210,8 +214,7 @@ class TestPoisonChunk:
         path = model_root / "adult-pb"
         set_plan(monkeypatch, {"on": "chunk", "chunk_index": 3,
                                "action": "kill"})
-        with WorkerPool(path, workers=1, request_timeout=60.0,
-                        chunk_retry_budget=1) as pool:
+        with WorkerPool(path, workers=1, request_timeout=60.0) as pool:
             with pytest.raises(WorkerError, match="retry budget"):
                 pool.sample(96, batch=8, seed=5)  # 12 chunks, hits 3
             assert not pool.closed and not pool.crashed
@@ -259,14 +262,13 @@ class TestStaleWorkShedding:
 class TestInlineTakeover:
     def test_all_slots_retired_drains_inline_bit_identically(
             self, model_root, monkeypatch):
-        """respawn=False + inline_fallback: a mid-request kill retires
+        """A mid-request kill whose respawns all die at boot retires
         the only slot, the parent finishes the request inline with the
         same bytes, and the crashed pool rejects new work."""
         path = model_root / "adult-pb"
         reference = load_model(path).sample(96, batch=8, seed=5)
-        set_plan(monkeypatch, KILL_AFTER_2)
-        pool = WorkerPool(path, workers=1, request_timeout=60.0,
-                          respawn=False, inline_fallback=True)
+        set_plan(monkeypatch, KILL_AFTER_2, RESPAWNS_DIE_AT_BOOT)
+        pool = WorkerPool(path, workers=1, request_timeout=60.0)
         try:
             assert_tables_equal(pool.sample(96, batch=8, seed=5),
                                 reference)
@@ -361,23 +363,31 @@ class TestCircuitBreaker:
 BOOT_KILL = {"on": "boot", "action": "kill"}
 
 
+def use_breakers(monkeypatch, clock):
+    """Services built from here on give each model a breaker that opens
+    after two failures and probes after 5 s on ``clock``."""
+    monkeypatch.setattr(
+        service_module, "CircuitBreaker",
+        lambda: CircuitBreaker(failure_threshold=2, reset_timeout=5.0,
+                               clock=clock))
+
+
 class TestServiceCircuit:
     """Circuit breaker at the service layer, over real boot failures."""
 
-    def _service(self, model_root, clock, **kwargs):
+    def _service(self, model_root, monkeypatch, clock, **kwargs):
+        use_breakers(monkeypatch, clock)
         # A private registry: status counts are per-model registry
         # counts, so other tests' pools must not leak into them.
         return SynthesisService(
             model_root, workers=1, request_timeout=30.0,
-            circuit_factory=lambda: CircuitBreaker(
-                failure_threshold=2, reset_timeout=5.0, clock=clock),
             metrics=MetricsRegistry(), **kwargs)
 
     def test_open_rejects_fast_then_heals_via_probe(
             self, model_root, monkeypatch):
         clock = FakeClock()
         set_plan(monkeypatch, BOOT_KILL)
-        with self._service(model_root, clock) as service:
+        with self._service(model_root, monkeypatch, clock) as service:
             for _ in range(2):
                 with pytest.raises(WorkerError):
                     service.sample("adult-pb", 16, seed=1)
@@ -407,7 +417,7 @@ class TestServiceCircuit:
         set_plan(monkeypatch, BOOT_KILL)
         reference = load_model(model_root / "adult-pb").sample(
             48, batch=8, seed=3)
-        with self._service(model_root, clock,
+        with self._service(model_root, monkeypatch, clock,
                            degraded="inline") as service:
             for _ in range(2):
                 with pytest.raises(WorkerError):
@@ -443,7 +453,7 @@ class TestServiceCircuit:
         set_plan(monkeypatch, KILL_AFTER_2,
                  {"on": "boot", "action": "kill",
                   "incarnations": [1, 2, 3]})
-        with self._service(model_root, clock) as service:
+        with self._service(model_root, monkeypatch, clock) as service:
             table, _ = service.sample("adult-pb", 96, batch=8, seed=5)
             assert_tables_equal(table, reference)  # inline drain
             health = service.healthz()
@@ -464,10 +474,9 @@ class TestCircuitOverHTTP:
                                           monkeypatch):
         clock = FakeClock()
         set_plan(monkeypatch, BOOT_KILL)
-        service = SynthesisService(
-            model_root, workers=1, request_timeout=30.0,
-            circuit_factory=lambda: CircuitBreaker(
-                failure_threshold=2, reset_timeout=5.0, clock=clock))
+        use_breakers(monkeypatch, clock)
+        service = SynthesisService(model_root, workers=1,
+                                   request_timeout=30.0)
         with SynthesisServer(service).start() as server:
             def sample_status(body):
                 request = urllib.request.Request(

@@ -9,8 +9,10 @@ relational database.
 import numpy as np
 import pytest
 
-from repro.serve import ServingError, WorkerError, WorkerPool, load_model
-from repro.serve.pool import blas_threads, usable_cpus
+from repro.serve import (
+    RequestTimeout, ServingError, WorkerError, WorkerPool, load_model,
+)
+from repro.serve.pool import DEFAULT_EVENT_RING, blas_threads, usable_cpus
 
 TABLE_MODELS = ("adult-gan", "adult-vae", "adult-pb")
 
@@ -136,13 +138,14 @@ def test_sample_iter_streams_in_order(model_root):
         assert_tables_equal(out, plain)
 
 
-def test_streaming_flow_control_bounds_buffering(model_root):
+@pytest.mark.parametrize("workers", [1, 0])
+def test_streaming_flow_control_bounds_buffering(model_root, workers):
     """A slow sample_iter consumer must not let workers race ahead and
     buffer the whole table in the parent: dispatch is windowed."""
     import time as _time
 
     path = model_root / "adult-pb"
-    with WorkerPool(path, workers=1) as pool:
+    with WorkerPool(path, workers=workers) as pool:
         stream = pool.sample_iter(160, batch=8, seed=2)  # 20 chunks
         chunks = [next(stream)]
         _time.sleep(0.5)  # plenty of time to race ahead, were it allowed
@@ -210,6 +213,90 @@ def test_concurrent_requests_one_pool(model_root):
         assert_tables_equal(results[seed], table)
 
 
+def test_inline_requests_sample_at_the_same_time(model_root, monkeypatch):
+    """Two threads on one workers=0 pool sample concurrently: every
+    chunk waits at a barrier for the other thread's chunk, so a lock
+    held across a whole task would break the barrier."""
+    import threading
+
+    from repro.privbayes.synthesizer import PrivBayesSynthesizer
+
+    path = model_root / "adult-pb"
+    expected = {seed: load_model(path).sample(40, batch=8, seed=seed)
+                for seed in (1, 2)}
+    barrier = threading.Barrier(2, timeout=10)
+    sample_chunk = PrivBayesSynthesizer._sample_chunk
+
+    def meet(self, *args, **kwargs):
+        barrier.wait()
+        return sample_chunk(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrivBayesSynthesizer, "_sample_chunk", meet)
+    results = {}
+    with WorkerPool(path, workers=0) as pool:
+        def run(seed):
+            results[seed] = pool.sample(40, batch=8, seed=seed)
+
+        threads = [threading.Thread(target=run, args=(seed,))
+                   for seed in expected]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed, table in expected.items():
+        assert_tables_equal(results[seed], table)
+
+
+def test_inline_pool_reports_no_recoveries(model_root):
+    """A workers=0 pool runs every task in the parent, yet only a worker
+    pool's takeover counts as an inline recovery."""
+    with WorkerPool(model_root / "adult-pb", workers=0) as pool:
+        pool.sample(40, batch=8, seed=1)
+        assert pool.status()["inline_recoveries"] == 0
+    with WorkerPool(model_root / "shop-db", workers=0) as pool:
+        pool.sample_database(1.0, seed=7)
+        assert pool.status()["inline_recoveries"] == 0
+
+
+class TestChunkDeadline:
+    """``timeout`` bounds each chunk wait, not the whole request."""
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_stream_that_keeps_delivering_is_not_cut(
+            self, model_root, monkeypatch, workers):
+        import json
+
+        from repro.obs.clock import ManualClock, use_clock
+
+        # Each chunk leaves a worker 50 ms late, so the consumer always
+        # waits for it after the clock has moved past any deadline
+        # taken when the stream started.
+        monkeypatch.setenv("REPRO_FAULTS", json.dumps({"rules": [
+            {"on": "chunk", "action": "delay", "seconds": 0.05}]}))
+        path = model_root / "adult-pb"
+        plain = load_model(path).sample(64, batch=8, seed=2)
+        clock = ManualClock()
+        chunks = []
+        with WorkerPool(path, workers=workers) as pool, use_clock(clock):
+            for chunk in pool.sample_iter(64, batch=8, seed=2,
+                                          timeout=1.0):
+                chunks.append(chunk)
+                clock.advance(5.0)
+        assert_tables_equal(chunks[0].concat_rows(*chunks[1:]), plain)
+
+    def test_a_stuck_chunk_fails_the_request(self, model_root,
+                                             monkeypatch):
+        import json
+
+        monkeypatch.setenv("REPRO_FAULTS", json.dumps({"rules": [
+            {"on": "chunk", "chunk_index": 5, "action": "delay",
+             "seconds": 3.0}]}))
+        with WorkerPool(model_root / "adult-pb", workers=1) as pool:
+            with pytest.raises(RequestTimeout, match="chunk 5"):
+                pool.sample(96, batch=8, seed=5, timeout=1.0)
+
+
 class TestValidationAndErrors:
     def test_bad_counts_name_the_argument(self, model_root):
         with WorkerPool(model_root / "adult-pb", workers=0) as pool:
@@ -274,7 +361,7 @@ class TestValidationAndErrors:
         shutil.copytree(model_root / "adult-pb", broken)
         (broken / "arrays.npz").unlink()
         with pytest.raises(WorkerError, match="failed to start"):
-            WorkerPool(broken, workers=1, start_timeout=30.0)
+            WorkerPool(broken, workers=1)
 
     def test_pending_releases_chunks_on_handover(self):
         """Streamed chunks leave the pending buffer as they are
@@ -306,30 +393,6 @@ class TestValidationAndErrors:
         finally:
             pool.close()
 
-    def test_worker_death_without_respawn_crashes_fast(self, model_root):
-        """With respawn and inline fallback disabled, supervision is
-        crash-fail: a killed worker fails requests promptly (not at the
-        request timeout) and marks the pool crashed."""
-        import time as _time
-
-        pool = WorkerPool(model_root / "adult-pb", workers=1,
-                          request_timeout=60.0, respawn=False,
-                          inline_fallback=False)
-        try:
-            for slot in pool._slots:
-                slot.process.terminate()
-            start = _time.monotonic()
-            with pytest.raises(ServingError):
-                pool.sample(50, batch=8, seed=1)
-            assert _time.monotonic() - start < 10.0
-            assert pool.crashed
-            from repro.serve import PoolClosed
-
-            with pytest.raises(PoolClosed):
-                pool.sample(10, seed=1)
-        finally:
-            pool.close()
-
     def test_closed_pool_rejects(self, model_root):
         pool = WorkerPool(model_root / "adult-pb", workers=1)
         pool.close()
@@ -340,30 +403,24 @@ class TestValidationAndErrors:
 
 
 class TestEventRing:
-    """Supervision event ring: configurable size, obs.clock stamps."""
+    """Supervision event ring: bounded size, obs.clock stamps."""
 
     def test_ring_capacity_is_configurable(self, model_root):
-        pool = WorkerPool(model_root / "adult-pb", workers=0,
-                          inline_fallback=True, event_ring=4)
+        """The ring keeps the last DEFAULT_EVENT_RING events."""
+        pool = WorkerPool(model_root / "adult-pb", workers=0)
         try:
-            for i in range(10):
+            for i in range(DEFAULT_EVENT_RING + 6):
                 pool._record_event("probe", index=i)
             events = pool.status()["events"]
-            assert len(events) == 4
-            assert [e["index"] for e in events] == [6, 7, 8, 9]
+            assert [e["index"] for e in events] == \
+                list(range(6, DEFAULT_EVENT_RING + 6))
         finally:
             pool.close()
-
-    def test_ring_size_validated(self, model_root):
-        with pytest.raises(ValueError, match="event_ring"):
-            WorkerPool(model_root / "adult-pb", workers=0,
-                       inline_fallback=True, event_ring=0)
 
     def test_events_are_stamped_via_obs_clock(self, model_root):
         from repro.obs.clock import ManualClock, use_clock
 
-        pool = WorkerPool(model_root / "adult-pb", workers=0,
-                          inline_fallback=True)
+        pool = WorkerPool(model_root / "adult-pb", workers=0)
         try:
             with use_clock(ManualClock(start=12.0, epoch=2_000.0)):
                 pool._record_event("probe")

@@ -20,8 +20,15 @@ from repro.serve import service as service_module
 
 
 @pytest.fixture
-def service(model_root):
-    with SynthesisService(model_root, workers=0,
+def workers():
+    """Worker processes per pool of the ``service`` fixture; a test that
+    parametrizes ``workers`` overrides it."""
+    return 0
+
+
+@pytest.fixture
+def service(model_root, workers):
+    with SynthesisService(model_root, workers=workers,
                           metrics=MetricsRegistry()) as svc:
         yield svc
 
@@ -36,9 +43,17 @@ def refused(service):
                if error == "BackpressureError")
 
 
+#: Every (drop, read) pair at 0 and 2 workers; a workers=0 case keeps
+#: the plain ``drop-read`` id.
+STREAM_DROPS = [
+    pytest.param(drop, read, workers, id=f"{drop}-{read}"
+                 + (f"-workers{workers}" if workers else ""))
+    for workers in (0, 2) for drop in ("close", "collect")
+    for read in (0, 1)]
+
+
 class TestStreamRelease:
-    @pytest.mark.parametrize("read", [0, 1])
-    @pytest.mark.parametrize("drop", ["close", "collect"])
+    @pytest.mark.parametrize("drop, read, workers", STREAM_DROPS)
     def test_dropped_stream_releases_pool_and_slot(self, service, drop,
                                                    read):
         """Also a stream dropped before its first chunk: a generator's
