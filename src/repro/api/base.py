@@ -101,14 +101,25 @@ def _scale(value) -> float:
     return scale
 
 
-def _sizes(value) -> Dict[str, int]:
+def _sizes(value, roots: Optional[Sequence[str]] = None) -> Dict[str, int]:
     """Validate a database draw's ``sizes``: an object of table name ->
-    rows, each an int of at least 0 (``None`` is no override)."""
+    rows, each an int of at least 0 (``None`` is no override).
+
+    With ``roots`` (the database's tables without a foreign key), every
+    name must be one of them: any other table takes its row count from
+    its parents' cardinality draws, so a size for it, or for a name that
+    is no table, would be silently ignored.
+    """
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ValueError(
             f"sizes must be an object of table -> rows, got {value!r}")
+    for table in value:
+        if roots is not None and table not in roots:
+            raise ValueError(
+                f"sizes[{table!r}] names no root table of this database "
+                f"(root tables: {', '.join(roots)})")
     return {table: _count(f"sizes[{table!r}]", rows, minimum=0)
             for table, rows in value.items()}
 

@@ -32,7 +32,7 @@ import inspect
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,24 @@ DB_FORMAT_NAME = "repro-database-synthesizer"
 DB_FORMAT_VERSION = 1
 _DB_META_FILE = "database.json"
 _TABLES_DIR = "tables"
+
+
+def root_tables(order: Sequence[str],
+                foreign_keys: Sequence[ForeignKey]) -> Tuple[str, ...]:
+    """The tables no foreign key points from, in generation ``order``:
+    ``scale`` or ``sizes`` sets their row counts, while every other
+    table's comes from its parents' cardinality draws."""
+    children = {fk.child for fk in foreign_keys}
+    return tuple(name for name in order if name not in children)
+
+
+def saved_root_tables(path: PathLike) -> Tuple[str, ...]:
+    """:func:`root_tables` of the database synthesizer saved at
+    ``path``, read from its ``database.json`` alone."""
+    document = json.loads((pathlib.Path(path) / _DB_META_FILE).read_text())
+    return root_tables(document["order"],
+                       [ForeignKey.from_dict(fk)
+                        for fk in document["foreign_keys"]])
 
 
 def _empty_table(schema: Schema) -> Table:
@@ -237,8 +255,9 @@ class DatabaseSynthesizer:
         """Generate a synthetic database.
 
         Root-table sizes default to ``round(real_rows * scale)``
-        (override per table with ``sizes``); child-table sizes are the
-        sum of per-parent cardinality draws, so the synthetic database
+        (override per table with ``sizes``, which may name root tables
+        only: :func:`root_tables`); child-table sizes are the sum of
+        per-parent cardinality draws, so the synthetic database
         reproduces the FK fan-out distribution.  ``seed`` makes the
         whole database reproducible.  ``batch`` is the per-table
         streaming chunk size (children stream through ``sample_iter``
@@ -253,7 +272,7 @@ class DatabaseSynthesizer:
         """
         self._require_fitted()
         scale = _scale(scale)
-        sizes = _sizes(sizes)
+        sizes = _sizes(sizes, root_tables(self._order, self._foreign_keys))
         if batch is not None:
             _count("batch", batch, minimum=1)
         request_seed = (derive_seed(seed, "sample") if seed is not None

@@ -498,6 +498,13 @@ class WorkerPool:
         self.kind = model_kind(self.path)
         if self.kind is None:
             raise ServingError(f"no saved synthesizer at {self.path}")
+        # The tables a database draw's ``sizes`` may name, checked
+        # before dispatch.
+        self._roots: Tuple[str, ...] = ()
+        if self.kind == KIND_DATABASE:
+            from ..relational.synthesizer import saved_root_tables
+
+            self._roots = saved_root_tables(self.path)
         self.workers = workers
         self.request_timeout = request_timeout
         self._backoff = RespawnBackoff()
@@ -1392,15 +1399,16 @@ class WorkerPool:
                         timeout: Optional[float] = None):
         """Run one database draw on a worker; returns a ``Database``.
 
-        ``scale``, ``sizes``, ``batch`` and ``seed`` are checked here,
-        before dispatch, so a bad value raises :class:`ValueError` at
-        any worker count.  ``timeout`` bounds the wait for the draw.
+        ``scale``, ``sizes`` (root tables only, read from the save at
+        boot), ``batch`` and ``seed`` are checked here, before dispatch,
+        so a bad value raises :class:`ValueError` at any worker count.
+        ``timeout`` bounds the wait for the draw.
         """
         if self.kind != KIND_DATABASE:
             raise ServingError(
                 f"model {self.path.name!r} is a single table; use "
                 "sample()")
-        scale, sizes = _scale(scale), _sizes(sizes)
+        scale, sizes = _scale(scale), _sizes(sizes, self._roots)
         if batch is not None:
             _count("batch", batch, minimum=1)
         seed = _request_seed(seed)

@@ -12,11 +12,13 @@ records (Phase III).
 
 Phase III is the sampling hot path: both transformers precompute a
 :class:`CompiledInverse` at fit/load time, so decoding a sample chunk
-is a handful of whole-matrix operations (one clip+affine over all
-simple-normalized columns, one padded gather+argmax over all one-hot /
-GMM-mode blocks, ...) instead of per-attribute numpy calls re-issued
-for every chunk of a streaming ``sample_iter``.  The compiled path is
-bit-identical to the per-block reference (``inverse(...,
+is a handful of whole-array operations on the transposed samples (one
+clip+affine over all simple-normalized columns, one gather+max+scan per
+width band of one-hot / GMM-mode blocks, ...) instead of per-attribute
+numpy calls re-issued for every chunk of a streaming ``sample_iter``.
+The sampling forward hands over Fortran-ordered samples, so each column
+the inverse reads is one contiguous row of ``samples.T``.  The compiled
+path is bit-identical to the per-block reference (``inverse(...,
 vectorized=False)``).  It reads float32 samples (a float32 model's
 output) without upcasting the whole matrix: see
 :meth:`CompiledInverse.__call__`.
@@ -49,17 +51,23 @@ class CompiledInverse:
     numpy calls per chunk, re-dispatched for every chunk of a streaming
     ``sample_iter``.  This compiler gathers every block's decode
     parameters **once** (at fit/load time) into flat arrays grouped by
-    decode kind, so applying the inverse is a handful of whole-matrix
+    decode kind, so applying the inverse is a handful of whole-array
     operations regardless of attribute count:
 
     * ``simple``-normalized columns: one clip + one affine map;
     * ``ordinal`` / ``tanh_ordinal`` columns: one round + clip each;
-    * one-hot blocks: a single padded gather + one ``argmax`` over all
-      blocks at once (padding repeats each block's first column, which
-      can never steal a first-occurrence argmax from a real column);
-    * GMM (mode-specific) blocks: the same padded ``argmax`` for the
-      mode, then one gather over the stacked per-mode means/stds.
+    * one-hot blocks: per band of similar widths (:class:`_Argmax`),
+      one gather of ``(span, blocks, n)`` rows of ``samples.T``, one max
+      over axis 0 and a scan for the first row equal to it (NaN counting
+      as the maximum), which is numpy's ``argmax`` without its one inner
+      loop per row and block;
+    * GMM (mode-specific) blocks: the same grouped argmax for the mode,
+      then one gather over the stacked per-mode means/stds.
 
+    Every kind reads ``samples.T``, one attribute column per row: the
+    sampling forward hands over Fortran-ordered ``(n, D)`` samples
+    (:class:`repro.gan.heads.MultiHead`), whose columns are then
+    contiguous rows; C-ordered samples are transposed once first.
     Every kind evaluates the exact elementwise expressions of the
     per-block reference ``inverse`` methods, so decoded columns are
     bit-identical to the legacy path.
@@ -90,44 +98,31 @@ class CompiledInverse:
                     f"unknown inverse kind {kind!r} for {block.name!r}")
         self._simple = self._pack_simple(simple)
         self._rounded = self._pack_rounded(rounded)
-        self._onehot = self._pack_argmax(
-            [(name, start, width) for name, start, width in onehot])
+        self._onehot = [name for name, _, _ in onehot]
         self._gmm = self._pack_gmm(gmm)
+        # One argmax pass over every one-hot block, then every GMM block's
+        # mode indicators.
+        argmax_blocks = ([(start, width) for _, start, width in onehot]
+                         + [(start + 1, width) for _, start, width, *_ in gmm])
+        self._argmax = _Argmax(argmax_blocks) if argmax_blocks else None
 
     @staticmethod
     def _pack_simple(simple):
         if not simple:
             return None
         names, cols, mins, ranges, integral = zip(*simple)
-        return (list(names), np.asarray(cols), np.asarray(mins),
-                np.asarray(ranges), np.asarray(integral, dtype=bool))
+        return (list(names), np.asarray(cols), np.asarray(mins)[:, None],
+                np.asarray(ranges)[:, None],
+                np.asarray(integral, dtype=bool))
 
     @staticmethod
     def _pack_rounded(rounded):
         if not rounded:
             return None
         names, cols, scales, domains, tanh = zip(*rounded)
-        return (list(names), np.asarray(cols), np.asarray(scales),
-                np.asarray(domains, dtype=np.int64),
-                np.asarray(tanh, dtype=bool))
-
-    @staticmethod
-    def _pack_argmax(blocks):
-        """Padded column-index matrix for a joint per-block argmax.
-
-        Index matrix rows are padded with each block's *first* column:
-        a duplicate value sits after the original, so ``argmax`` (first
-        occurrence wins) returns exactly the per-block result.
-        """
-        if not blocks:
-            return None
-        names = [name for name, _, _ in blocks]
-        widths = np.asarray([width for _, _, width in blocks])
-        idx = np.empty((len(blocks), int(widths.max())), dtype=np.intp)
-        for g, (_, start, width) in enumerate(blocks):
-            idx[g, :width] = start + np.arange(width)
-            idx[g, width:] = start
-        return names, idx
+        return (list(names), np.asarray(cols), np.asarray(scales)[:, None],
+                np.asarray(domains, dtype=np.int64)[:, None],
+                np.asarray(tanh, dtype=bool)[:, None])
 
     @staticmethod
     def _pack_gmm(gmm):
@@ -135,9 +130,6 @@ class CompiledInverse:
             return None
         names = [name for name, *_ in gmm]
         vcols = np.asarray([start for _, start, *_ in gmm])
-        argmax = CompiledInverse._pack_argmax(
-            [(name, start + 1, width)
-             for name, start, width, _, _, _ in gmm])
         max_k = max(width for _, _, width, _, _, _ in gmm)
         means = np.zeros((len(gmm), max_k))
         stds = np.ones((len(gmm), max_k))
@@ -145,51 +137,109 @@ class CompiledInverse:
             means[g, :width] = mu
             stds[g, :width] = sigma
         integral = np.asarray([flag for *_, flag in gmm], dtype=bool)
-        return names, vcols, argmax[1], means, stds, integral
+        return names, vcols, means, stds, integral
 
     def __call__(self, samples: np.ndarray) -> Dict[str, np.ndarray]:
         """Decode ``(n, output_dim)`` samples into attribute columns.
 
-        ``samples`` is float32 or float64.  The argmax gathers read it
-        in its own dtype (widening is exact and keeps the order, so the
-        same column wins); the value columns are cast to float64 before
-        any arithmetic.  Decoded columns therefore equal those of the
-        float64 upcast bit for bit.
+        ``samples`` is float32 or float64, in either memory order.  The
+        argmax gathers read it in its own dtype (widening is exact and
+        keeps the order, so the same column wins); the value columns are
+        cast to float64 before any arithmetic.  Decoded columns
+        therefore equal those of the float64 upcast bit for bit.
         """
+        # One attribute column per row.  Fortran-ordered samples (the
+        # sampling forward's) transpose for free; C-ordered ones are
+        # copied once, so every gather below reads whole rows (``take``
+        # costs about 2.5 us less per call than fancy indexing).
+        rows_of = np.ascontiguousarray(samples.T)
         columns: Dict[str, np.ndarray] = {}
         if self._simple is not None:
             names, cols, mins, ranges, integral = self._simple
-            clipped = np.clip(_wide(samples[:, cols]), -1.0, 1.0)
+            clipped = np.clip(_wide(rows_of.take(cols, axis=0)), -1.0, 1.0)
             values = mins + (clipped + 1.0) / 2.0 * ranges
             if integral.any():
-                values[:, integral] = np.rint(values[:, integral])
+                values[integral] = np.rint(values[integral])
             for i, name in enumerate(names):
-                columns[name] = values[:, i]
+                columns[name] = values[i]
         if self._rounded is not None:
             names, cols, scales, domains, tanh = self._rounded
-            raw = _wide(samples[:, cols])
+            raw = _wide(rows_of.take(cols, axis=0))
             unit = np.where(tanh, (np.clip(raw, -1.0, 1.0) + 1.0) / 2.0, raw)
             codes = np.rint(unit * scales).astype(np.int64)
             codes = np.clip(codes, 0, domains - 1)
             for i, name in enumerate(names):
-                columns[name] = codes[:, i]
-        if self._onehot is not None:
-            names, idx = self._onehot
-            codes = samples[:, idx].argmax(axis=2).astype(np.int64)
-            for i, name in enumerate(names):
-                columns[name] = codes[:, i]
+                columns[name] = codes[i]
+        if self._argmax is not None:
+            codes = self._argmax(rows_of)
+            for i, name in enumerate(self._onehot):
+                columns[name] = codes[i]
         if self._gmm is not None:
-            names, vcols, idx, means, stds, integral = self._gmm
-            modes = samples[:, idx].argmax(axis=2)
-            rows = np.arange(len(names))[None, :]
-            v_gmm = np.clip(_wide(samples[:, vcols]), -1.0, 1.0)
-            values = (v_gmm * 2.0 * stds[rows, modes]
-                      + means[rows, modes])
+            names, vcols, means, stds, integral = self._gmm
+            modes = codes[len(self._onehot):]
+            blocks = np.arange(len(names))[:, None]
+            v_gmm = np.clip(_wide(rows_of.take(vcols, axis=0)), -1.0, 1.0)
+            values = (v_gmm * 2.0 * stds[blocks, modes]
+                      + means[blocks, modes])
             if integral.any():
-                values[:, integral] = np.rint(values[:, integral])
+                values[integral] = np.rint(values[integral])
             for i, name in enumerate(names):
-                columns[name] = values[:, i]
+                columns[name] = values[i]
         return columns
+
+
+class _Argmax:
+    """Per-block argmax over the rows of transposed samples, one band of
+    blocks at a time, in a fixed number of whole-array passes per band.
+
+    A band holds the blocks of widths 1-8, 9-16, 17-32, 33-64 and so on
+    (doubling), each padded to the band's ``span`` with its first column
+    (a duplicate after the original never wins a first-occurrence
+    argmax), so padding at most doubles the work of any band but the
+    first.  A block's code is the index of its first entry equal to its
+    max (``-0.0 == 0.0``), as in numpy's ``argmax``: each hit entry gets
+    the rank ``span - index``, and the largest rank found gives the code.
+    """
+
+    def __init__(self, blocks: Sequence[tuple]):
+        bands: Dict[int, list] = {}
+        for position, (start, width) in enumerate(blocks):
+            bands.setdefault(((width - 1) // 8).bit_length(), []).append(
+                (position, start, width))
+        #: ``(positions, rows, ranks)`` per band: its blocks' positions in
+        #: ``blocks``, the ``(span, blocks)`` sample columns it reads, and
+        #: ``(span, 1, 1)`` ranks in the smallest unsigned dtype that
+        #: holds them.
+        self.bands = []
+        spans = np.empty(len(blocks), dtype=np.int64)
+        for members in bands.values():
+            span = max(width for *_, width in members)
+            positions = np.asarray([position for position, *_ in members])
+            rows = np.empty((span, len(members)), dtype=np.intp)
+            for k, (_, start, width) in enumerate(members):
+                rows[:, k] = start
+                rows[:width, k] += np.arange(width)
+            spans[positions] = span
+            ranks = np.arange(span, 0, -1, dtype=np.min_scalar_type(span))
+            self.bands.append((positions, rows, ranks[:, None, None]))
+        self._spans = spans[:, None]
+
+    def __call__(self, rows_of: np.ndarray) -> np.ndarray:
+        """``(blocks, n)`` int64 codes of ``rows_of`` (the samples
+        transposed), one row per block in ``blocks`` order."""
+        keys = np.empty((len(self._spans), rows_of.shape[1]), dtype=np.int64)
+        for positions, rows, ranks in self.bands:
+            block = rows_of.take(rows, axis=0)
+            keys[positions] = np.multiply(block == block.max(axis=0),
+                                          ranks).max(axis=0)
+        if not keys.all():
+            # A block holding a NaN has a NaN max that no entry equals
+            # (key 0); as in numpy, its first NaN wins.
+            for positions, rows, ranks in self.bands:
+                first_nan = np.multiply(np.isnan(rows_of.take(rows, axis=0)),
+                                        ranks).max(axis=0)
+                keys[positions] = np.maximum(keys[positions], first_nan)
+        return np.subtract(self._spans, keys, out=keys)
 
 
 def _wide(values: np.ndarray) -> np.ndarray:

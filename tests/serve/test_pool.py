@@ -335,7 +335,8 @@ class TestValidationAndErrors:
                 with pytest.raises(ValueError, match="scale"):
                     pool.sample_database(scale, seed=1)
             for sizes in [{"customers": -4}, {"customers": "x"},
-                          {"customers": 2.5}, [("customers", 3)]]:
+                          {"customers": 2.5}, [("customers", 3)],
+                          {"orders": 5}, {"nope": 3}]:
                 with pytest.raises(ValueError, match="sizes"):
                     pool.sample_database(sizes=sizes, seed=1)
             assert dispatch.total() == 0

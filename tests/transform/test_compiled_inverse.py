@@ -175,6 +175,22 @@ def assert_bits_identical(a, b):
         assert ca.tobytes() == cb.tobytes(), name
 
 
+def _wide_block_table():
+    """Categoricals of 1, 9, 17 and 130 categories (one-hot blocks on
+    both sides of the argmax's width bands) and a constant numeric
+    column (a one-mode GMM block of width 2)."""
+    rng = np.random.default_rng(8)
+    n = 300
+    sizes = {"single": 1, "nine": 9, "seventeen": 17, "wide": 130}
+    attributes = tuple(
+        Attribute(name, CATEGORICAL,
+                  categories=tuple(f"c{i}" for i in range(size)))
+        for name, size in sizes.items()) + (Attribute("flat", NUMERICAL),)
+    columns = {name: rng.integers(0, size, n) for name, size in sizes.items()}
+    columns["flat"] = np.full(n, 2.5)
+    return Table(Schema(attributes=attributes), columns)
+
+
 def _fitted_transformers():
     table = make_mixed_table(n=120, seed=6)
     fitted = [RecordTransformer(categorical_encoding=encoding,
@@ -182,6 +198,11 @@ def _fitted_transformers():
                                 rng=np.random.default_rng(1)).fit(table)
               for encoding in ("onehot", "ordinal")
               for normalization in ("gmm", "simple")]
+    wide = _wide_block_table()
+    fitted += [RecordTransformer(categorical_encoding="onehot",
+                                 numerical_normalization=normalization,
+                                 rng=np.random.default_rng(1)).fit(wide)
+               for normalization in ("gmm", "simple")]
     return fitted + [MatrixTransformer().fit(table)]
 
 
@@ -197,8 +218,9 @@ _PLANTED = st.one_of(
 
 @st.composite
 def _float32_case(draw):
-    """A fitted transformer and a float32 sample matrix for it: seeded
-    generator-like values with planted ties, infinities and NaNs."""
+    """A fitted transformer and a float32 sample matrix for it, in C or
+    Fortran order: seeded generator-like values with planted ties,
+    infinities and NaNs."""
     index = draw(st.integers(0, len(_FITTED) - 1))
     transformer = _FITTED[index]
     rows = draw(st.integers(1, 12))
@@ -210,7 +232,9 @@ def _float32_case(draw):
     base = np.random.default_rng(seed).uniform(-1.5, 1.5, shape)
     planted = draw(arrays(np.float32, shape, elements=_PLANTED))
     mask = draw(arrays(np.bool_, shape))
-    return transformer, np.where(mask, planted, base.astype(np.float32))
+    order = draw(st.sampled_from("CF"))
+    return transformer, np.asarray(
+        np.where(mask, planted, base.astype(np.float32)), order=order)
 
 
 class TestFloat32Inverse:

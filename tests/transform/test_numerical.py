@@ -104,3 +104,46 @@ def test_property_simple_normalizer_round_trip(values):
     decoded = norm.inverse(norm.transform(values))
     span = max(values.max() - values.min(), 1.0)
     assert np.abs(decoded - values).max() <= 1e-6 * span + 1e-9
+
+
+@st.composite
+def _gmm_fit(draw):
+    """A GMM normalizer fitted on a drawn mixture, plus values to encode:
+    the training values and outliers beyond them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 4))
+    means = rng.uniform(-1e3, 1e3, k)
+    stds = 10.0 ** rng.uniform(-2, 2, k)
+    n = draw(st.integers(2, 300))
+    modes = rng.integers(0, k, n)
+    values = rng.normal(means[modes], stds[modes])
+    if draw(st.booleans()):
+        values = np.round(values)
+    norm = GMMNormalizer(n_components=draw(st.integers(1, 5)),
+                         integral=draw(st.booleans()), rng=rng).fit(values)
+    reach = rng.exponential(1e3, 5)
+    return norm, np.concatenate([values, values.min() - reach,
+                                 values.max() + reach])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gmm_fit())
+def test_property_gmm_inverse_forward_is_identity_up_to_the_clip(case):
+    """inverse(transform(x)) for a value of assigned mode k is x itself
+    within 2 sigma_k of mu_k and the clip bound mu_k +- 2 sigma_k beyond
+    it (the normalized value is clipped to [-1, 1]); an integral column
+    decodes to the rint of that."""
+    norm, values = case
+    block = norm.transform(values)
+    mode = norm.gmm.assign(values)
+    mu, sigma = norm.gmm.means[mode], norm.gmm.stds[mode]
+    bound = mu + np.sign(values - mu) * 2.0 * sigma
+    expected = np.where(np.abs(values - mu) <= 2.0 * sigma, values, bound)
+    state = norm.to_state()
+    plain = GMMNormalizer.from_state({**state, "integral": False})
+    decoded = plain.inverse(block)
+    tolerance = 1e-12 * (np.maximum(np.abs(values), np.abs(mu)) + 2 * sigma)
+    assert (np.abs(decoded - expected) <= tolerance).all()
+    np.testing.assert_array_equal(norm.inverse(block),
+                                  np.rint(decoded) if norm.integral
+                                  else decoded)
