@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -66,13 +67,35 @@ def root_tables(order: Sequence[str],
     return tuple(name for name in order if name not in children)
 
 
-def saved_root_tables(path: PathLike) -> Tuple[str, ...]:
-    """:func:`root_tables` of the database synthesizer saved at
-    ``path``, read from its ``database.json`` alone."""
+def saved_root_rows(path: PathLike) -> Dict[str, int]:
+    """Each of :func:`root_tables` of the database synthesizer saved at
+    ``path`` with its real row count, read from its ``database.json``
+    alone."""
     document = json.loads((pathlib.Path(path) / _DB_META_FILE).read_text())
-    return root_tables(document["order"],
-                       [ForeignKey.from_dict(fk)
-                        for fk in document["foreign_keys"]])
+    roots = root_tables(document["order"],
+                        [ForeignKey.from_dict(fk)
+                         for fk in document["foreign_keys"]])
+    return {name: int(document["n_rows"][name]) for name in roots}
+
+
+def check_draw_arguments(scale, sizes, root_rows: Dict[str, int]
+                         ) -> Tuple[float, Dict[str, int]]:
+    """A database draw's ``scale`` and ``sizes``, checked against the
+    database's root tables and their real row counts (``root_rows``).
+
+    Beyond the checks of ``_scale`` and ``_sizes``, the ``scale`` must
+    give each root table that ``sizes`` does not name a row count
+    ``round(rows * scale)`` that is finite and below ``2**63``.
+    """
+    scale, sizes = _scale(scale), _sizes(sizes, tuple(root_rows))
+    for name, rows in root_rows.items():
+        count = rows * scale
+        if name not in sizes and not (math.isfinite(count)
+                                      and round(count) < 2 ** 63):
+            raise ValueError(
+                f"scale {scale!r} gives root table {name!r} {count:g} "
+                f"rows; a row count must be below 2**63")
+    return scale, sizes
 
 
 def _empty_table(schema: Schema) -> Table:
@@ -271,8 +294,10 @@ class DatabaseSynthesizer:
         perturbs another table's draw.
         """
         self._require_fitted()
-        scale = _scale(scale)
-        sizes = _sizes(sizes, root_tables(self._order, self._foreign_keys))
+        scale, sizes = check_draw_arguments(
+            scale, sizes,
+            {name: self._n_rows[name]
+             for name in root_tables(self._order, self._foreign_keys)})
         if batch is not None:
             _count("batch", batch, minimum=1)
         request_seed = (derive_seed(seed, "sample") if seed is not None

@@ -32,19 +32,26 @@ connection, no third-party web stack.  Endpoints:
     ``"stream": true`` (or ``n`` past the server's streaming threshold)
     the response is sent with chunked transfer-encoding, one CSV
     fragment per generated chunk, so large draws start flowing before
-    generation finishes; each fragment is encoded by the process that
-    generated its chunk, and the handler writes its bytes.  A response
-    that is not streamed is built in memory, so it holds at most
-    :data:`MAX_BUFFERED_ROWS` rows.  A JSON table request may add
-    ``"trace": true`` to get the request's stitched span breakdown
-    (one span per chunk, timed in the worker that generated it) back in
-    the response under ``"trace"``.
+    generation finishes.  A response that is not streamed is built in
+    memory, so it holds at most :data:`MAX_BUFFERED_ROWS` rows.  A JSON
+    table request may add ``"trace": true`` to get the request's
+    stitched span breakdown (one span per chunk, timed in the worker
+    that generated it) back in the response under ``"trace"``.
+
+    Every table response is encoded by the process that generated its
+    chunks (:func:`repro.serve.encoding.encoded_at_source`): a CSV
+    chunk's rows, or a JSON chunk's column bodies.  The handler only
+    splices bytes: the CSV header before the rows, or the JSON head
+    (``model``, ``n``, ``seed``, ``schema``), the columns and the
+    optional ``trace`` (:func:`repro.serve.encoding.json_table`).  A
+    value with no encoding (an integral NaN or infinity from a diverged
+    model) therefore fails where it is encoded, as a worker failure.
 
 Errors map 1:1 from the serving exception hierarchy: 404 unknown model,
 400 invalid request, 413 body over :data:`MAX_BODY_BYTES` or buffered
 response over :data:`MAX_BUFFERED_ROWS`, 503 over the service's
 in-flight bound or an open circuit (with ``Retry-After``), 504
-deadline, 500 worker failure.
+deadline, 500 worker failure (an encode failure included).
 
 Every connection reads and writes under a :data:`CONNECTION_TIMEOUT`
 socket timeout: a client that stalls mid-request, or idles on a
@@ -63,9 +70,11 @@ from typing import Optional, Tuple
 
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..obs.trace import Trace
-from .encoding import (
-    columns_payload, csv_at_source, csv_bytes, database_payload,
-    schema_payload,
+# columns_payload is no longer called here; it stays a name of this
+# module, where perfbench/layers.py times it.
+from .encoding import (  # noqa: F401
+    columns_payload, csv_bytes, database_payload, encoded_at_source,
+    json_table, schema_payload,
 )
 from .errors import (
     BackpressureError, CircuitOpen, ModelNotFound, PoolClosed,
@@ -323,7 +332,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{MAX_BUFFERED_ROWS} rows, got n={n}; request "
                 f"\"format\": \"csv\", \"stream\": true for larger draws")
         if stream:
-            with csv_at_source():
+            with encoded_at_source("csv"):
                 chunks, used_seed = self.service.sample_iter(
                     name, n, batch=batch, seed=seed)
                 # The first chunk carries the schema; pull it eagerly so
@@ -337,8 +346,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         trace = Trace("http.sample", tags={"model": name}) if traced \
             else None
-        table, used_seed = self.service.sample(name, n, batch=batch,
-                                               seed=seed, trace=trace)
+        with encoded_at_source(out_format):
+            table, used_seed = self.service.sample(name, n, batch=batch,
+                                                   seed=seed, trace=trace)
         if out_format == "csv":
             data = b"".join(csv_bytes([table], table.schema))
             self.send_response(200)
@@ -348,14 +358,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(data)
             return
-        payload = {
-            "model": name, "n": len(table), "seed": used_seed,
-            "schema": schema_payload(table.schema),
-            "columns": columns_payload(table),
-        }
-        if trace is not None:
-            payload["trace"] = trace.to_dict()
-        self._send_json(200, payload)
+        head = {"model": name, "n": len(table), "seed": used_seed,
+                "schema": schema_payload(table.schema)}
+        tail = {} if trace is None else {"trace": trace.to_dict()}
+        self._send_bytes(200, json_table(head, table, tail),
+                         "application/json")
 
     def _serve_database(self, name: str, body: dict) -> None:
         database, used_seed = self.service.sample_database(

@@ -16,10 +16,11 @@ one worker, with parallelism coming from concurrent requests.
 
 Every task runs one way (:func:`_run_task`), in a worker or in the
 parent's :meth:`WorkerPool._run_inline_task`: its chunks are sampled,
-CSV rows are attached when the task is flagged, and one chunk span is
-stamped over both.  The parent runs tasks once every worker slot has
-retired (the *takeover*); a ``workers=0`` pool is in takeover from
-boot, so its requests take a worker pool's dispatch and wait path.
+each is encoded in the task's wire format when it names one, and one
+chunk span is stamped over both.  The parent runs tasks once every
+worker slot has retired (the *takeover*); a ``workers=0`` pool is in
+takeover from boot, so its requests take a worker pool's dispatch and
+wait path.
 
 Transport: every worker slot gets its **own pair of pipes** (tasks
 down, results up).  A shared ``mp.Queue`` cannot survive worker death —
@@ -74,11 +75,14 @@ inline, or in the fitting process alike, so one pool's output does not
 depend on the parent's default dtype.
 
 Encoding: a request drawn inside
-:func:`repro.serve.encoding.csv_at_source` (the HTTP layer's streamed
-CSV responses) has each chunk's CSV rows encoded by the process that
-generated the chunk, inside its shipped chunk span; the chunk still
-arrives as the same :class:`~repro.datasets.schema.Table`, carrying the
-bytes (:func:`repro.serve.encoding.attach_csv`).
+:func:`repro.serve.encoding.encoded_at_source` (every table response of
+the HTTP layer) has each chunk encoded in the context's wire format by
+the process that generated the chunk, inside its shipped chunk span:
+its CSV rows, or its JSON column bodies.  The chunk still arrives as
+the same :class:`~repro.datasets.schema.Table`, carrying the bytes
+(:func:`repro.serve.encoding.attach`), and ``sample`` joins the bytes
+of a buffered draw's chunks (:func:`repro.serve.encoding.join`), so the
+parent only splices them.
 """
 
 from __future__ import annotations
@@ -98,9 +102,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..api.base import (
-    PathLike, _count, _request_seed, _scale, _sizes, chunk_plan,
-)
+from ..api.base import PathLike, _count, _request_seed, chunk_plan
 from ..check.lockorder import make_condition, make_lock
 from ..datasets.schema import Table
 from ..obs import clock as _obs_clock
@@ -210,12 +212,12 @@ def _run_task(model, task: tuple, tags: dict
     span)`` per chunk it produces.
 
     A ``"chunks"`` task samples its chunk indices (all of the plan when
-    ``None``) under the sharded-seed contract; when flagged ``encode``
-    each chunk gets its CSV rows attached, and when flagged ``traced``
-    one ``chunk`` span (a plain dict: pipes carry data, the parent
-    stitches it into the request trace), tagged with ``tags``, covers
-    the sampling and the encode.  A ``"database"`` task is one whole
-    draw, yielded as index 0 without a span.
+    ``None``) under the sharded-seed contract; when it names a ``wire``
+    format each chunk gets that encoding attached, and when flagged
+    ``traced`` one ``chunk`` span (a plain dict: pipes carry data, the
+    parent stitches it into the request trace), tagged with ``tags``,
+    covers the sampling and the encode.  A ``"database"`` task is one
+    whole draw, yielded as index 0 without a span.
     """
     kind, _, indices, *args = task
     if kind == "database":
@@ -223,12 +225,12 @@ def _run_task(model, task: tuple, tags: dict
         yield 0, model.sample(scale, sizes=sizes, batch=batch,
                               seed=seed), None
         return
-    n, batch, seed, encode, traced = args
+    n, batch, seed, wire, traced = args
     started = _obs_clock.perf()
     for index, table in model.sample_chunks(n, batch=batch, seed=seed,
                                             indices=indices):
-        if encode:
-            encoding.attach_csv(table)
+        if wire is not None:
+            encoding.attach(table, wire)
         span = None
         if traced:
             done = _obs_clock.perf()
@@ -386,9 +388,9 @@ class _Pending:
         ``(kind, req_id, indices, *spec)``, plus the ``traced`` flag for
         a chunks task.
 
-        A task rebuilt for a requeue keeps the ``traced`` and
-        ``encode`` flags, so chunks re-executed after a worker death
-        ship spans and bytes exactly like the first attempt (the parent
+        A task rebuilt for a requeue keeps the ``traced`` flag and the
+        wire format, so chunks re-executed after a worker death ship
+        spans and bytes exactly like the first attempt (the parent
         stitches them as retry spans).
         """
         task = (self.kind, req_id, sorted(indices), *self.spec)
@@ -498,13 +500,14 @@ class WorkerPool:
         self.kind = model_kind(self.path)
         if self.kind is None:
             raise ServingError(f"no saved synthesizer at {self.path}")
-        # The tables a database draw's ``sizes`` may name, checked
-        # before dispatch.
-        self._roots: Tuple[str, ...] = ()
+        # The tables a database draw's ``sizes`` may name, with the
+        # real row counts its ``scale`` multiplies, checked before
+        # dispatch.
+        self._root_rows: Dict[str, int] = {}
         if self.kind == KIND_DATABASE:
-            from ..relational.synthesizer import saved_root_tables
+            from ..relational.synthesizer import saved_root_rows
 
-            self._roots = saved_root_tables(self.path)
+            self._root_rows = saved_root_rows(self.path)
         self.workers = workers
         self.request_timeout = request_timeout
         self._backoff = RespawnBackoff()
@@ -1326,13 +1329,17 @@ class WorkerPool:
         shard the same way.  ``timeout`` bounds each chunk wait, as it
         does for the stream, not the whole request.
 
+        Called inside :func:`repro.serve.encoding.encoded_at_source`,
+        the table also carries its whole encoding, joined from the
+        bytes each chunk was given where it was generated.
+
         ``trace`` (a :class:`repro.obs.Trace`) collects one span per
         chunk, timed in the worker that generated it and shipped back
         on the result pipes; chunks re-executed after a worker death
         appear as retry spans.
         """
-        chunks = list(self._stream(n, batch, seed, timeout, trace))
-        return chunks[0].concat_rows(*chunks[1:])
+        return encoding.join(list(self._stream(n, batch, seed, timeout,
+                                               trace)))
 
     def sample_iter(self, n: int, batch: Optional[int] = None,
                     seed: Optional[int] = None,
@@ -1345,8 +1352,9 @@ class WorkerPool:
         consumer, so a slow reader (e.g. an HTTP client on a thin pipe)
         bounds the chunks buffered in the parent instead of letting the
         workers race ahead and re-materialize the whole table in memory.
-        Called inside :func:`repro.serve.encoding.csv_at_source`, each
-        chunk also carries its CSV rows, encoded where it was generated.
+        Called inside :func:`repro.serve.encoding.encoded_at_source`,
+        each chunk also carries its encoding in the context's wire
+        format, made where it was generated.
 
         ``timeout`` bounds each chunk wait: a chunk that takes longer
         fails the stream with :class:`RequestTimeout`, while a stream
@@ -1362,8 +1370,7 @@ class WorkerPool:
         # the request starts on the first next().
         n = _count("n", n, minimum=1)
         batch, plan = self._table_plan(n, batch)
-        spec = (n, batch, _request_seed(seed),
-                encoding.csv_wanted_at_source())
+        spec = (n, batch, _request_seed(seed), encoding.wire_at_source())
         return self._windowed(spec, len(plan), timeout, trace)
 
     def _windowed(self, spec: tuple, n_chunks: int,
@@ -1374,9 +1381,10 @@ class WorkerPool:
             # One task per chunk, dispatched a bounded window ahead of
             # the consumer, so parent-side buffering never exceeds
             # ~window chunks however slow the reader is.  In takeover
-            # each dispatch runs its chunk before returning, so the
-            # window is also how far a workers=0 stream runs ahead.
-            window = max(2 * self.workers, 4)
+            # each dispatch runs its chunk before returning, so a pool
+            # without worker slots keeps a window of one: its stream
+            # yields its first chunk after generating two.
+            window = max(2 * self.workers, 4) if self.workers else 1
             submitted = min(window, n_chunks)
             for index in range(submitted):
                 self._dispatch(req_id, pending, [index])
@@ -1400,15 +1408,20 @@ class WorkerPool:
         """Run one database draw on a worker; returns a ``Database``.
 
         ``scale``, ``sizes`` (root tables only, read from the save at
-        boot), ``batch`` and ``seed`` are checked here, before dispatch,
-        so a bad value raises :class:`ValueError` at any worker count.
-        ``timeout`` bounds the wait for the draw.
+        boot with their real row counts), ``batch`` and ``seed`` are
+        checked here, before dispatch, so a bad value raises
+        :class:`ValueError` at any worker count; so does a ``scale``
+        that gives a root table not named in ``sizes`` a row count that
+        is not finite or not below ``2**63``.  ``timeout`` bounds the
+        wait for the draw.
         """
         if self.kind != KIND_DATABASE:
             raise ServingError(
                 f"model {self.path.name!r} is a single table; use "
                 "sample()")
-        scale, sizes = _scale(scale), _sizes(sizes, self._roots)
+        from ..relational.synthesizer import check_draw_arguments
+
+        scale, sizes = check_draw_arguments(scale, sizes, self._root_rows)
         if batch is not None:
             _count("batch", batch, minimum=1)
         seed = _request_seed(seed)

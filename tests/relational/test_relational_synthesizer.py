@@ -69,6 +69,9 @@ def test_scale_and_sizes(database):
     assert len(fixed["customers"]) == 17
     with pytest.raises(ValueError, match="scale must be positive"):
         synth.sample(scale=0.0)
+    for scale in (1e300, 1e308):
+        with pytest.raises(ValueError, match="scale"):
+            synth.sample(scale=scale)
 
 
 def test_fit_rejects_dangling_training_data(database):

@@ -17,7 +17,7 @@ from repro.api import load_synthesizer
 from repro.obs import MetricsRegistry
 from repro.serve import SynthesisServer, SynthesisService, WorkerPool
 from repro.serve.encoding import (
-    columns_payload, csv_at_source, csv_rows, csv_stream,
+    columns_payload, csv_rows, csv_stream, encoded_at_source,
 )
 
 from tests.conftest import DTYPE_DRAW
@@ -60,13 +60,13 @@ def test_served_bodies_equal_the_publishers_draw(dtype_model_store,
 
 @pytest.mark.parametrize("workers", [2, 0])
 def test_pool_stream_chunks_carry_their_csv(dtype_model_store, workers):
-    """Inside csv_at_source a pool stream still yields the in-process
+    """Inside encoded_at_source a pool stream still yields the in-process
     chunks, each carrying its rows encoded where it was generated."""
     root, _ = dtype_model_store
     path = root / "gan-mlp-float32"
     reference = list(load_synthesizer(path).sample_iter(**DTYPE_DRAW))
     with WorkerPool(path, workers=workers) as pool:
-        with csv_at_source():
+        with encoded_at_source("csv"):
             chunks = list(pool.sample_iter(**DTYPE_DRAW))
         plain = list(pool.sample_iter(**DTYPE_DRAW))
     assert len(chunks) == len(reference) == 3

@@ -208,6 +208,30 @@ class TestErrorMapping:
         else:
             raise AssertionError("expected 400")
 
+    def test_encode_failure_is_a_worker_failure_500(self, model_root,
+                                                    monkeypatch):
+        """A table is encoded where its chunks are generated, so a value
+        with no encoding (an integral NaN from a diverged model) fails
+        as a worker failure, for JSON and buffered CSV alike."""
+        from repro.serve import encoding
+
+        def no_integer(table):
+            raise ValueError("cannot convert float NaN to integer")
+
+        monkeypatch.setattr(encoding, "json_columns", no_integer)
+        monkeypatch.setattr(encoding, "csv_rows", no_integer)
+        service = SynthesisService(model_root, workers=0,
+                                   metrics=MetricsRegistry())
+        with SynthesisServer(service).start() as srv:
+            for out_format in ("json", "csv"):
+                code, payload = post_error(
+                    srv, "/models/adult-pb/sample",
+                    {"n": 10, "seed": 1, "format": out_format})
+                assert code == 500, out_format
+                assert payload["error"] == "WorkerError"
+                assert "NaN" in payload["detail"]
+        service.close()
+
 
 class TestKeepAlive:
     def test_small_responses_do_not_wait_for_a_delayed_ack(self, server):

@@ -163,6 +163,35 @@ def test_streaming_flow_control_bounds_buffering(model_root, workers):
         assert_tables_equal(out, plain)
 
 
+def test_inline_stream_yields_after_at_most_two_chunks(model_root,
+                                                      monkeypatch):
+    """A pool without worker slots runs its chunks in the requesting
+    thread, so its window is one chunk: the first chunk comes back
+    after at most two have been generated, not after the window of a
+    worker pool, and the stream's rows are unchanged."""
+    from repro.serve import pool as pool_module
+
+    produced = []
+    run_task = pool_module._run_task
+
+    def counting(model, task, tags):
+        for item in run_task(model, task, tags):
+            produced.append(item[0])
+            yield item
+
+    monkeypatch.setattr(pool_module, "_run_task", counting)
+    path = model_root / "adult-pb"
+    draw = dict(n=32768, batch=4096, seed=3)
+    with WorkerPool(path, workers=0) as pool:
+        stream = pool.sample_iter(**draw)
+        chunks = [next(stream)]
+        assert len(produced) <= 2
+        chunks.extend(stream)
+    assert produced == list(range(8))
+    assert_tables_equal(chunks[0].concat_rows(*chunks[1:]),
+                        load_model(path).sample(**draw))
+
+
 def test_sample_is_one_call_into_the_stream(model_root, monkeypatch):
     """sample() concatenates the same windowed stream sample_iter()
     yields without calling the public sample_iter(), so a wrapper
@@ -331,7 +360,7 @@ class TestValidationAndErrors:
                 with pytest.raises(ValueError, match="seed"):
                     pool.sample_database(seed=seed)
             for scale in [-1, 0, float("nan"), float("inf"), 10 ** 400,
-                          "2", True, None]:
+                          "2", True, None, 1e308, 1e300]:
                 with pytest.raises(ValueError, match="scale"):
                     pool.sample_database(scale, seed=1)
             for sizes in [{"customers": -4}, {"customers": "x"},
